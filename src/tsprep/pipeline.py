@@ -301,6 +301,8 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
     with _step(1, "cache check / ingest"):
         X, y, lengths, info = _master(config, root, workers)
     d = X.shape[2] - 1
+    if not np.isscalar(config.missing) and len(config.missing) != d:
+        raise ConfigError(f"missing list has {len(config.missing)} entries for {d} data channels")
 
     categorical = list(config.categorical)
     channel_means = dict(config.channel_means)

@@ -5,12 +5,15 @@ that datasets are byte-identical across runs, platforms and releases:
 
 * ``splitmix64`` expands a 64-bit seed into generator state and derives
   substream seeds.
-* ``xoshiro256**`` produces the random stream used for shuffles.
+* ``xoshiro256**`` produces the random stream.
 
-The split shuffle consumes the root stream (``rng_from_seed(seed)``).
-Missing-data simulation uses per-sequence substreams derived with
-``substream_seed(seed, index)`` so transforms can run in any order or in
-parallel without perturbing each other's draws.
+The generator comes in two forms with the same output. The scalar
+``Xoshiro256StarStar`` works on Python integers and is the specification;
+the split shuffle consumes its root stream (``rng_from_seed(seed)``).
+``XoshiroLanes`` runs many streams in lockstep on ``uint64`` arrays, one lane
+per stream. Missing-data simulation uses it with one lane per sequence, each
+seeded by ``substream_seed(seed, index)``, so a sequence's draws do not
+depend on how many other sequences there are or in which order they run.
 """
 
 import os
@@ -45,7 +48,8 @@ class Xoshiro256StarStar:
     """xoshiro256** generator with splitmix64 seed expansion.
 
     Pure-integer implementation: identical output on every platform and
-    Python version. Fast enough for the shuffles this toolkit performs.
+    Python version. This is the reference form, used for the split
+    shuffles; ``XoshiroLanes`` produces the same streams many at a time.
     """
 
     def __init__(self, seed: int) -> None:
@@ -94,6 +98,103 @@ class Xoshiro256StarStar:
             j = i + self.randbelow(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+_U64 = np.uint64
+
+
+def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << _U64(k)) | (x >> _U64(64 - k))
+
+
+def _mix64_lanes(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+class XoshiroLanes:
+    """Independent xoshiro256** streams advanced in lockstep.
+
+    Lane ``i`` produces exactly the stream of
+    ``Xoshiro256StarStar(seeds[i])``. The state is four ``uint64`` arrays,
+    whose arithmetic wraps modulo 2**64 as the scalar form masks it. Each
+    call advances only the lanes selected by the boolean ``active`` mask
+    (every lane when it is None) and returns one value per lane, 0 for the
+    lanes left out.
+    """
+
+    def __init__(self, seeds: Sequence[int]) -> None:
+        state = np.array([seed & _MASK64 for seed in seeds], dtype=_U64).reshape(-1)
+        s = []
+        for _ in range(4):
+            state = state + _U64(_GOLDEN)
+            s.append(_mix64_lanes(state))
+        self._s = s
+
+    def __len__(self) -> int:
+        return len(self._s[0])
+
+    def _advance(self, rows) -> np.ndarray:
+        """Step the lanes ``rows`` (an index array or ``slice(None)``)."""
+        s0, s1, s2, s3 = (part[rows] for part in self._s)
+        result = _rotl_lanes(s1 * _U64(5), 7) * _U64(9)
+        t = s1 << _U64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = _rotl_lanes(s3, 45)
+        if isinstance(rows, slice):
+            self._s = [s0, s1, s2, s3]
+        else:
+            for part, new in zip(self._s, (s0, s1, s2, s3)):
+                part[rows] = new
+        return result
+
+    def _rows(self, active: Optional[np.ndarray]):
+        if active is None:
+            return slice(None)
+        active = np.asarray(active, dtype=bool)
+        if active.shape != (len(self),):
+            raise ValueError(f"active mask has shape {active.shape}, expected ({len(self)},)")
+        return slice(None) if active.all() else np.flatnonzero(active)
+
+    def next_u64(self, active: Optional[np.ndarray] = None) -> np.ndarray:
+        """The next output of each active lane."""
+        rows = self._rows(active)
+        out = np.zeros(len(self), dtype=_U64)
+        out[rows] = self._advance(rows)
+        return out
+
+    def randbelow(self, n, active: Optional[np.ndarray] = None) -> np.ndarray:
+        """Uniform integers in [0, n) per lane, by the scalar rejection rule.
+
+        ``n`` is one bound for every lane or an array with one per lane; only
+        the entries of active lanes are read. A lane whose draw is rejected
+        draws again from its own stream, so every lane consumes exactly what
+        ``Xoshiro256StarStar.randbelow`` would.
+        """
+        rows = self._rows(active)
+        bound = np.broadcast_to(np.asarray(n), (len(self),))[rows]
+        if (bound <= 0).any():
+            raise ValueError("n must be positive")
+        bound = bound.astype(_U64)
+        # The scalar form accepts u < 2**64 - 2**64 % n, i.e. u <= ~(2**64 % n);
+        # when n is a power of two that cutoff is 2**64 - 1 and nothing is
+        # rejected. (0 - n) % n is 2**64 % n in wrapping uint64 arithmetic.
+        cutoff = ~((_U64(0) - bound) % bound)
+        u = self._advance(rows)
+        rejected = np.flatnonzero(u > cutoff)
+        if rejected.size:
+            lane_of = np.arange(len(self))[rows]
+            while rejected.size:
+                u[rejected] = self._advance(lane_of[rejected])
+                rejected = rejected[u[rejected] > cutoff[rejected]]
+        out = np.zeros(len(self), dtype=_U64)
+        out[rows] = u % bound
+        return out
 
 
 def rng_from_seed(seed: Optional[int]) -> Xoshiro256StarStar:

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from tsprep.splits import Xoshiro256StarStar, substream_seed
+from tsprep.splits import XoshiroLanes, substream_seed
 from tsprep.tensor_core import ChannelStats
 from tsprep.util import round_half_up
 
@@ -58,21 +58,38 @@ def simulate_missing(
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "little")
 
+    # One generator lane per sequence, all advanced together: draw t of the
+    # partial Fisher-Yates is one array step over the sequences that still
+    # need a t-th draw. Each lane consumes its stream in the scalar order
+    # (channel 0's draws, then channel 1's, ...), so sequence i drops exactly
+    # the positions of Xoshiro256StarStar(substream_seed(seed, i)).choose(L, k).
+    lengths = np.asarray(lengths, dtype=np.int64)
+    lanes = XoshiroLanes([substream_seed(seed, i) for i in range(n)])
+    distinct, length_of = np.unique(lengths, return_inverse=True)
+    lane_start = np.arange(n) * s
     out = X.copy()
-    for i in range(n):
-        L = int(lengths[i])
-        rng = Xoshiro256StarStar(substream_seed(seed, i))
-        if per_channel:
-            for ch, p in enumerate(props):
-                k = round_half_up(p * L)
-                if k:
-                    drop = rng.choose(L, k)
-                    out[i, drop, 1 + ch] = np.nan
-        else:
-            k = round_half_up(props[0] * L)
-            if k:
-                drop = rng.choose(L, k)
-                out[i, drop, 1:] = np.nan
+    for ch, p in enumerate(props):
+        k = np.array([round_half_up(p * int(L)) for L in distinct], dtype=np.int64)[length_of]
+        # pool[t, i] is slot t of sequence i's index pool, in the smallest
+        # signed type that holds every position; swaps go through the flat
+        # view, where it sits at t * n + i
+        pool = np.empty((s, n), dtype=np.min_scalar_type(-s))
+        pool[:] = np.arange(s)[:, None]
+        flat = pool.reshape(-1)
+        k_max = int(k.max(initial=0))
+        for t in range(k_max):
+            active = k > t
+            rows = np.flatnonzero(active)
+            j = lanes.randbelow(lengths - t, active)[rows].astype(np.int64) + t
+            here = t * n + rows
+            there = j * n + rows
+            held = flat[here]
+            flat[here] = flat[there]
+            flat[there] = held
+        dropped = np.zeros(n * s, dtype=bool)
+        dropped[(pool[:k_max] + lane_start)[np.arange(k_max)[:, None] < k]] = True
+        target = 1 + ch if per_channel else slice(1, None)
+        out[:, :, target][dropped.reshape(n, s)] = np.nan
     return out
 
 

@@ -62,6 +62,14 @@ def test_prepare_config_error_exits_2(arrowhead_root, capsys):
     assert "UEA" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["0.5,0.5", "0,0"])
+def test_prepare_missing_list_wrong_length_exits_2(traj_root, copy_tree, capsys, missing):
+    root = copy_tree(traj_root)
+    code = run(["prepare", "Traj3", "--train-prop", 0.6, "--missing", missing, "--path", root])
+    assert code == 2
+    assert "2 entries for 3 data channels" in capsys.readouterr().err
+
+
 def test_prepare_build_error_exits_1(tmp_path, capsys):
     code = run(["prepare", "NoSuchData", "--train-prop", 0.7, "--path", tmp_path])
     assert code == 1

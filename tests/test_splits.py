@@ -4,6 +4,7 @@ import pytest
 from tsprep.splits import (
     SplitSpec,
     Xoshiro256StarStar,
+    XoshiroLanes,
     rng_from_seed,
     stratified_split,
     substream_seed,
@@ -106,6 +107,79 @@ def test_substreams_are_distinct_and_stable():
     assert len(set(seeds)) == 100
     assert seeds == [substream_seed(123, i) for i in range(100)]
     assert substream_seed(123, 0) != substream_seed(124, 0)
+
+
+# ------------------------------------------------------------- lane generator
+
+LANE_SEEDS = [0, 1, 123, 293120, substream_seed(5, 2), (1 << 64) - 1]
+
+
+def test_lanes_match_scalar_streams():
+    lanes = XoshiroLanes(LANE_SEEDS)
+    scalars = [Xoshiro256StarStar(seed) for seed in LANE_SEEDS]
+    for _ in range(1000):
+        assert lanes.next_u64().tolist() == [gen.next_u64() for gen in scalars]
+
+
+def test_lanes_randbelow_heavy_rejection_matches_scalar():
+    n = (1 << 63) + 1  # accepts u < 2**63 + 1: about half of all draws rejected
+    limit = (1 << 64) - (1 << 64) % n
+    lanes = XoshiroLanes(LANE_SEEDS)
+    scalars = [Xoshiro256StarStar(seed) for seed in LANE_SEEDS]
+    raw = [Xoshiro256StarStar(seed) for seed in LANE_SEEDS]
+    draws = rejected = 0
+    for _ in range(200):
+        assert lanes.randbelow(n).tolist() == [gen.randbelow(n) for gen in scalars]
+        for gen in raw:
+            while True:
+                draws += 1
+                if gen.next_u64() < limit:
+                    break
+                rejected += 1
+    assert 0.4 < rejected / draws < 0.6
+
+
+@pytest.mark.parametrize("n", [1, 2, 1 << 32, 1 << 63])
+def test_lanes_randbelow_power_of_two_matches_scalar(n):
+    lanes = XoshiroLanes(LANE_SEEDS)
+    scalars = [Xoshiro256StarStar(seed) for seed in LANE_SEEDS]
+    for _ in range(200):
+        assert lanes.randbelow(n).tolist() == [gen.randbelow(n) for gen in scalars]
+
+
+def test_lanes_randbelow_per_lane_bounds():
+    bounds = np.array([1, 7, 64, 315, (1 << 63) + 1, (1 << 63)], dtype=np.uint64)
+    lanes = XoshiroLanes(LANE_SEEDS)
+    scalars = [Xoshiro256StarStar(seed) for seed in LANE_SEEDS]
+    for _ in range(200):
+        expected = [gen.randbelow(int(b)) for gen, b in zip(scalars, bounds)]
+        assert lanes.randbelow(bounds).tolist() == expected
+
+
+def test_lanes_inactive_do_not_advance():
+    active = np.array([True, False, True, False, False, True])
+    lanes = XoshiroLanes(LANE_SEEDS)
+    scalars = [Xoshiro256StarStar(seed) for seed in LANE_SEEDS]
+    bounds = np.array([10, 0, 3, -1, 0, 1000])  # inactive entries are never read
+    for _ in range(50):
+        values = lanes.next_u64(active).tolist()
+        drawn = lanes.randbelow(bounds, active).tolist()
+        for lane, gen in enumerate(scalars):
+            if active[lane]:
+                assert values[lane] == gen.next_u64()
+                assert drawn[lane] == gen.randbelow(int(bounds[lane]))
+            else:
+                assert values[lane] == 0 and drawn[lane] == 0
+    # every lane continues its stream from where it stopped
+    assert lanes.next_u64().tolist() == [gen.next_u64() for gen in scalars]
+
+
+def test_lanes_randbelow_rejects_nonpositive():
+    lanes = XoshiroLanes([1, 2])
+    with pytest.raises(ValueError):
+        lanes.randbelow(0)
+    with pytest.raises(ValueError):
+        lanes.randbelow(np.array([3, -1]), np.array([True, True]))
 
 
 # ----------------------------------------------------------- split behaviour

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tsprep.splits import Xoshiro256StarStar, substream_seed
 from tsprep.tensor_core import ChannelStats, channel_stats
 from tsprep.transforms import (
     build_fill,
@@ -154,6 +155,45 @@ def test_simulate_deterministic_per_sequence():
     np.testing.assert_array_equal(a, b)
     c = simulate_missing(X, lengths, [0.3, 0.6, 0.1], seed=8)
     assert not np.array_equal(a, c, equal_nan=True)
+
+
+def reference_simulation(X, lengths, missing, seed):
+    """Per-sequence loop over the scalar generator: the specification the
+    simulation must reproduce byte for byte."""
+    per_channel = not np.isscalar(missing)
+    props = list(missing) if per_channel else [missing]
+    out = X.copy()
+    for i, L in enumerate(int(L) for L in lengths):
+        rng = Xoshiro256StarStar(substream_seed(seed, i))
+        for ch, p in enumerate(props):
+            k = int(np.floor(p * L + 0.5))
+            cols = slice(1 + ch, 2 + ch) if per_channel else slice(1, None)
+            out[i, rng.choose(L, k), cols] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("missing", [0.4, [0.7, 0.0, 1.0, 0.25]])
+@pytest.mark.parametrize("seed", [17, 2**64 - 1])
+def test_simulate_known_answer_unequal_lengths(missing, seed):
+    X, lengths = master(n=7, s=25, d=4, seed=4)
+    assert len(set(lengths.tolist())) > 1
+    out = simulate_missing(X, lengths, missing, seed=seed)
+    assert out.tobytes() == reference_simulation(X, lengths, missing, seed).tobytes()
+
+
+def test_simulate_matches_reference_on_random_inputs():
+    rng = np.random.RandomState(11)
+    for trial in range(6):
+        n, s, d = rng.randint(1, 40), rng.randint(1, 50), rng.randint(1, 4)
+        lengths = rng.randint(0, s + 1, size=n).astype(np.int64)
+        X = np.full((n, s, d + 1), np.nan)
+        for i, L in enumerate(lengths):
+            X[i, :L, 0] = np.arange(L)
+            X[i, :L, 1:] = rng.rand(L, d)
+        missing = rng.rand() if trial % 2 else [float(p) for p in rng.rand(d)]
+        seed = int(rng.randint(0, 2**31))
+        out = simulate_missing(X, lengths, missing, seed=seed)
+        assert out.tobytes() == reference_simulation(X, lengths, missing, seed).tobytes()
 
 
 def test_simulate_validation_errors():
