@@ -47,21 +47,23 @@ def batches(dataset, split: str, batch_size: int, rng: Optional[Xoshiro256StarSt
     """Iterate a split once, in stored order, as batches of ``batch_size``
     (the last batch may be smaller).
 
-    Pass a seeded generator as ``rng`` to shuffle sequence order for the
-    epoch; the default (no shuffling) keeps epochs reproducible.
+    Each batch gathers its own rows from the dataset's ``_full`` arrays, so
+    the split is never copied as a whole. Pass a seeded generator as
+    ``rng`` to shuffle sequence order for the epoch; the default (no
+    shuffling) keeps epochs reproducible.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    X, y, length = dataset.tensors(split)
-    n = len(length)
+    rows = dataset.split_rows(split)
+    n = len(rows)
     if n == 0:
         raise ValueError(f"split {split!r} is empty")
     order = list(range(n))
     if rng is not None:
         rng.shuffle(order)
     for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        yield Batch(X=X[idx], y=y[idx], length=length[idx])
+        idx = rows[order[start : start + batch_size]]
+        yield Batch(X=dataset.X_full[idx], y=dataset.y_full[idx], length=dataset.length_full[idx])
 
 
 def sort_by_length(batch: Batch) -> Batch:

@@ -7,6 +7,8 @@ Entries are written to a temp directory and renamed into place, so readers
 only ever see absent, old or complete entries.
 """
 
+import errno
+import hashlib
 import json
 import os
 import shutil
@@ -26,7 +28,6 @@ CACHE_DIRNAME = ".torchtime"
 # deterministic, so identical data always yields identical checksum files
 # (meta.json carries a creation timestamp and is validated structurally)
 _BLOBS = ("X.bin", "y.bin", "length.bin")
-_CHECKSUMMED = _BLOBS
 
 
 class CacheMiss(Exception):
@@ -52,13 +53,6 @@ def entry_dir(root: Path, key: str) -> Path:
     return Path(root) / CACHE_DIRNAME / key
 
 
-def _write_checksums(directory: Path) -> dict[str, str]:
-    sums = {name: sha256_file(directory / name) for name in _CHECKSUMMED}
-    lines = "".join(f"{digest}  {name}\n" for name, digest in sorted(sums.items()))
-    (directory / "checksums.txt").write_text(lines, encoding="utf-8")
-    return sums
-
-
 def save(
     root: Path,
     key: str,
@@ -71,17 +65,22 @@ def save(
     """Write a cache entry atomically (temp dir, then rename).
 
     Tensors are stored at full precision (f64/f64/i64) so a cache round trip
-    is bitwise exact. Concurrent writers race benignly: the last rename
-    wins and both entries are valid.
+    is bitwise exact; ``checksums.txt`` holds the digests of the bytes as
+    they were written. Concurrent writers of one key do not fail: a writer
+    whose rename finds another writer's entry already in place discards its
+    own temp dir and keeps that entry, which holds the same bytes when the
+    inputs are the same.
     """
     final = entry_dir(root, key)
     final.parent.mkdir(parents=True, exist_ok=True)
     tmp = final.parent / f".{key}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
     tmp.mkdir()
     try:
-        write_tensor(tmp / "X.bin", X, "f64")
-        write_tensor(tmp / "y.bin", y, "f64")
-        write_tensor(tmp / "length.bin", length, "i64")
+        checksums = {
+            "X.bin": write_tensor(tmp / "X.bin", X, "f64"),
+            "y.bin": write_tensor(tmp / "y.bin", y, "f64"),
+            "length.bin": write_tensor(tmp / "length.bin", length, "i64"),
+        }
         meta = {
             "format_version": CACHE_FORMAT_VERSION,
             "dataset": key,
@@ -90,18 +89,37 @@ def save(
             "dataset_info": dataset_info or {},
         }
         (tmp / "meta.json").write_text(canonical_json(meta), encoding="utf-8")
-        checksums = _write_checksums(tmp)
-        if final.exists():
-            trash = final.parent / f".{key}.old-{uuid.uuid4().hex[:8]}"
-            os.replace(final, trash)
-            os.replace(tmp, final)
-            shutil.rmtree(trash, ignore_errors=True)
-        else:
-            os.replace(tmp, final)
+        lines = "".join(f"{digest}  {name}\n" for name, digest in sorted(checksums.items()))
+        (tmp / "checksums.txt").write_text(lines, encoding="utf-8")
+        _publish(tmp, final)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     return CacheEntry(path=final, checksums=checksums, meta=meta)
+
+
+def _publish(tmp: Path, final: Path) -> None:
+    """Rename ``tmp`` to ``final``, moving an existing entry aside first.
+
+    Losing a race to another writer of the same key is not an error: if it
+    moved the old entry aside first there is nothing left to move, and if
+    its entry is renamed into place first, ``tmp`` is discarded.
+    """
+    trash = None
+    if final.exists():
+        trash = final.parent / f".{final.name}.old-{uuid.uuid4().hex[:8]}"
+        try:
+            os.replace(final, trash)
+        except FileNotFoundError:
+            trash = None  # another writer moved it aside first
+    try:
+        os.replace(tmp, final)
+    except OSError as err:
+        if err.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+            raise
+        shutil.rmtree(tmp, ignore_errors=True)  # another writer's entry won
+    if trash is not None:
+        shutil.rmtree(trash, ignore_errors=True)
 
 
 def read_checksums(directory: Path) -> dict[str, str]:
@@ -125,7 +143,7 @@ def verify(directory: Path) -> list[str]:
     missing). Empty means intact."""
     sums = read_checksums(directory)
     bad = []
-    for name in _CHECKSUMMED:
+    for name in _BLOBS:
         expected = sums.get(name)
         target = directory / name
         if expected is None or not target.exists() or sha256_file(target) != expected:
@@ -136,13 +154,25 @@ def verify(directory: Path) -> list[str]:
 def load(root: Path, key: str, source_options: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Load a cache entry, raising :class:`CacheAbsent` when there is no
     entry for the key and :class:`CacheCorrupt` when validation fails
-    (checksum mismatch, wrong format version or differing source options)."""
+    (checksum mismatch, unreadable blob, wrong format version or differing
+    source options).
+
+    Each blob is hashed while it is read, in one pass, and the digest is
+    checked against ``checksums.txt`` before the arrays are returned.
+    """
     directory = entry_dir(root, key)
     if not directory.is_dir():
         raise CacheAbsent(f"no cache entry at {directory}")
-    bad = verify(directory)
-    if bad:
-        raise CacheCorrupt(f"{directory}: checksum mismatch for {', '.join(bad)}")
+    sums = read_checksums(directory)
+    arrays = []
+    for name in _BLOBS:
+        digest = hashlib.sha256()
+        try:
+            arrays.append(read_tensor(directory / name, digest))
+        except (TensorFileError, OSError) as err:
+            raise CacheCorrupt(f"{directory}: unreadable {name}: {err}") from None
+        if digest.hexdigest() != sums.get(name):
+            raise CacheCorrupt(f"{directory}: checksum mismatch for {name}")
     try:
         meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
@@ -154,10 +184,5 @@ def load(root: Path, key: str, source_options: dict) -> tuple[np.ndarray, np.nda
     if meta.get("dataset") != key or meta.get("source_options") != source_options:
         # a stale entry is not corruption, but it cannot be used either
         raise CacheMiss(f"{directory}: entry was built with different source options")
-    try:
-        X = read_tensor(directory / "X.bin")
-        y = read_tensor(directory / "y.bin")
-        length = read_tensor(directory / "length.bin")
-    except TensorFileError as err:
-        raise CacheCorrupt(str(err)) from None
+    X, y, length = arrays
     return X, y, length, meta

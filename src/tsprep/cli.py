@@ -18,6 +18,7 @@ from pathlib import Path
 import tsprep
 from tsprep import cache_store, export, fetch
 from tsprep.pipeline import BuildError, ConfigError, PipelineConfig, build
+from tsprep.tensorfile import TensorFileError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -212,7 +213,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (BuildError, export.ManifestError, cache_store.CacheMiss, OSError) as err:
+    except (
+        BuildError, export.ManifestError, cache_store.CacheMiss, TensorFileError, OSError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -60,9 +60,8 @@ def write_prepared(dataset: Dataset, config: PipelineConfig, out_dir: Path) -> P
         X, y, length = dataset.tensors(split)
         for stem, array, code in (("X", X, "f64"), ("y", y, "f64"), ("length", length, "i64")):
             name = f"{stem}_{split}.bin"
-            write_tensor(out_dir / name, array, code)
             files[name] = {
-                "sha256": sha256_file(out_dir / name),
+                "sha256": write_tensor(out_dir / name, array, code),
                 "shape": list(array.shape),
                 "dtype": code,
             }
@@ -118,9 +117,8 @@ def export_prepared(
     for name, entry in manifest["files"].items():
         array = read_tensor(prepared_dir / name)
         code = "i64" if name.startswith("length") else dtype
-        write_tensor(out_dir / name, array, code)
         files[name] = {
-            "sha256": sha256_file(out_dir / name),
+            "sha256": write_tensor(out_dir / name, array, code),
             "shape": entry["shape"],
             "dtype": code,
         }

@@ -34,6 +34,7 @@ from tsprep.tensor_core import (
     DATA,
     DELTA,
     MASK,
+    SPLIT_CODES,
     TIME,
     Channel,
     ChannelLayout,
@@ -42,7 +43,8 @@ from tsprep.tensor_core import (
     append_time_channel,
     channel_stats,
     pad_to_longest,
-    standardise,
+    standardise,  # unused here, but perfbench/tracing.py wraps pipeline.standardise
+    standardise_in_place,
 )
 from tsprep.ts_format import TEST_FILE, TRAIN_FILE, merge_train_test, parse_ts_file
 
@@ -330,25 +332,20 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
         assignment = stratified_split(_strata(config, y), config.split_spec())
         split_of_index = assignment.split_of_index(len(lengths))
 
-    train_rows = split_of_index == 0
-    data_cols = layout.data_indices
+    # training rows of the contiguous data block: one gather, no full copy
+    train_idx = np.flatnonzero(split_of_index == SPLIT_CODES["train"])
+    data = layout.data_slice
     with _step(6, "standardise"):
-        stats = channel_stats(
-            X_out[train_rows][:, :, data_cols], lengths[train_rows], categorical=cat_cols
-        )
+        stats = channel_stats(X_out[train_idx, :, data], lengths[train_idx], categorical=cat_cols)
         if config.standardise:
-            X_out = standardise(X_out, layout, stats)
+            standardise_in_place(X_out, layout, stats)
 
     with _step(7, "impute"):
         if callable(config.impute) or config.impute != "none":
             # fill statistics are taken from the training split as imputation
             # sees it, i.e. post-standardisation when that step ran
             fill_stats = (
-                channel_stats(
-                    X_out[train_rows][:, :, data_cols],
-                    lengths[train_rows],
-                    categorical=cat_cols,
-                )
+                channel_stats(X_out[train_idx, :, data], lengths[train_idx], categorical=cat_cols)
                 if config.standardise
                 else stats
             )
@@ -358,14 +355,22 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
                 categorical=cat_cols,
                 channel_means=mean_overrides,
             )
-            y = y.astype(np.float64, copy=True)
-            for code in np.unique(split_of_index):
-                rows = split_of_index == code
-                X_rows, y_rows = transforms.impute(
-                    X_out[rows], y[rows], lengths[rows], data_cols, config.impute, fill
-                )
-                X_out[rows] = X_rows
-                y[rows] = y_rows
+            if callable(config.impute):
+                # a custom method may look across rows, so it sees one split
+                # at a time
+                y = y.astype(np.float64, copy=True)
+                for code in np.unique(split_of_index):
+                    rows = split_of_index == code
+                    X_rows, y_rows = transforms.impute(
+                        X_out[rows], y[rows], lengths[rows], layout.data_indices,
+                        config.impute, fill,
+                    )
+                    X_out[rows] = X_rows
+                    y[rows] = y_rows
+            else:
+                # built-in methods fill each row from itself and the
+                # training-only fill values: all rows at once is the same
+                transforms.impute_in_place(X_out, lengths, data, config.impute, fill)
 
     with _step(8, "bind split views"):
         dataset = Dataset(
@@ -380,7 +385,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
             name=config.dataset,
             dropped_records=int(info.get("dropped_records", 0)),
         )
-        dataset.tensors(config.split)  # fail fast on an invalid selection
+        dataset.split_rows(config.split)  # fail fast on an invalid selection
     return dataset
 
 

@@ -5,6 +5,12 @@ Everything downstream of parsing works on one convention: a float64 array of
 shape ``(n, s, c)`` where entry ``[i, t, :]`` is NaN for every ``t >=
 length[i]`` (padding), and NaN inside the valid region means a missing
 observation. All transforms preserve that invariant.
+
+The array is large and memory traffic dominates its cost, so the pipeline
+avoids whole-array copies: channel blocks are contiguous (``data_slice`` is a
+view), ``standardise_in_place`` overwrites the array the pipeline owns, and
+``Dataset.split_rows`` lets consumers gather rows without copying a split.
+The public ``standardise`` copies first and leaves its input untouched.
 """
 
 from collections import Counter
@@ -58,6 +64,14 @@ class ChannelLayout:
         return self.indices(DATA)
 
     @property
+    def data_slice(self) -> slice:
+        """The data channels as a slice: blocks are ordered, so they are
+        contiguous and ``X[:, :, data_slice]`` is a view."""
+        cols = self.data_indices
+        start = int(cols[0]) if len(cols) else 0
+        return slice(start, start + len(cols))
+
+    @property
     def n_channels(self) -> int:
         return len(self.channels)
 
@@ -103,12 +117,17 @@ class Dataset:
     name: str = ""
     dropped_records: int = 0
 
-    def _select(self, array: np.ndarray, split: str) -> np.ndarray:
+    def split_rows(self, split: str) -> np.ndarray:
+        """Positions of one split's sequences in the ``_full`` arrays, in
+        stored order; validates ``split`` without copying any tensor."""
         if split not in SPLIT_CODES:
             raise ValueError(f"unknown split {split!r}")
         if split == "test" and not self.has_test:
             raise ValueError("no test split was configured (val_prop not set)")
-        return array[self.split_of_index == SPLIT_CODES[split]]
+        return np.flatnonzero(self.split_of_index == SPLIT_CODES[split])
+
+    def _select(self, array: np.ndarray, split: str) -> np.ndarray:
+        return array[self.split_rows(split)]
 
     def tensors(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(X, y, length) for one split."""
@@ -242,23 +261,26 @@ def channel_stats(
     return ChannelStats(mean=mean, std=std, mode=mode, count=count)
 
 
-def standardise(X: np.ndarray, layout: ChannelLayout, stats: ChannelStats) -> np.ndarray:
+def standardise_in_place(X: np.ndarray, layout: ChannelLayout, stats: ChannelStats) -> None:
     """Apply the training-split transform ``(x - mean) / std`` to every data
-    channel, in place on a copy.
+    channel of ``X``, overwriting it.
 
-    Time, mask and delta channels pass through untouched, NaNs stay NaN, a
-    zero or undefined std acts as 1 and channels without training
-    observations are left untransformed.
+    One subtraction and one division over the data block: channels without
+    training observations use mean 0 and std 1 (so they pass through
+    unchanged), and a zero or undefined std acts as 1. Time, mask and delta
+    channels are not touched and NaNs stay NaN.
     """
-    data_cols = layout.data_indices
-    if len(data_cols) != len(stats.mean):
+    block = X[:, :, layout.data_slice]
+    if block.shape[2] != len(stats.mean):
         raise ValueError("stats do not match the layout's data channels")
+    available = stats.available
+    usable_sd = available & np.isfinite(stats.std) & (stats.std != 0.0)
+    np.subtract(block, np.where(available, stats.mean, 0.0), out=block)
+    np.divide(block, np.where(usable_sd, stats.std, 1.0), out=block)
+
+
+def standardise(X: np.ndarray, layout: ChannelLayout, stats: ChannelStats) -> np.ndarray:
+    """:func:`standardise_in_place` on a copy; ``X`` is left as it was."""
     out = X.copy()
-    for k, c in enumerate(data_cols):
-        if not stats.available[k]:
-            continue
-        sd = stats.std[k]
-        if not np.isfinite(sd) or sd == 0.0:
-            sd = 1.0
-        out[:, :, c] = (out[:, :, c] - stats.mean[k]) / sd
+    standardise_in_place(out, layout, stats)
     return out

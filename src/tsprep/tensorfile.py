@@ -12,6 +12,9 @@ The same serializer backs the on-disk cache and the CLI export, so cache
 entries are self-describing.
 """
 
+import hashlib
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +37,12 @@ def code_for(array: np.ndarray) -> str:
         raise TensorFileError(f"unsupported dtype {array.dtype}") from None
 
 
-def write_tensor(path: Path, array: np.ndarray, code: str | None = None) -> None:
-    """Write one array; ``code`` converts on the way out (e.g. f64 -> f32)."""
+def write_tensor(path: Path, array: np.ndarray, code: str | None = None) -> str:
+    """Write one array; ``code`` converts on the way out (e.g. f64 -> f32).
+
+    Returns the SHA256 hex digest of the file, computed from the header and
+    payload bytes in memory, so the file is never read back.
+    """
     if code is None:
         code = code_for(array)
     if code not in DTYPE_OF_CODE:
@@ -46,27 +53,49 @@ def write_tensor(path: Path, array: np.ndarray, code: str | None = None) -> None
     if len(header) > HEADER_SIZE:
         raise TensorFileError("tensor rank too large for the fixed header")
     header = header.ljust(HEADER_SIZE, b" ")
+    data = memoryview(payload.reshape(-1).view(np.uint8))
+    digest = hashlib.sha256(header)
+    digest.update(data)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(payload.tobytes())
+        f.write(data)
+    return digest.hexdigest()
 
 
-def read_tensor(path: Path) -> np.ndarray:
+def _parse_header(path: Path, header: bytes) -> tuple[np.dtype, tuple[int, ...]]:
+    if len(header) < HEADER_SIZE or not header.startswith(MAGIC):
+        raise TensorFileError(f"{path}: not a tensor file")
+    try:
+        fields = header[len(MAGIC) :].decode("ascii").split()
+        code, rank = fields[0], int(fields[1])
+        shape = tuple(int(d) for d in fields[2 : 2 + rank])
+        dtype = np.dtype(DTYPE_OF_CODE[code])
+    except (KeyError, ValueError, IndexError):  # ValueError covers non-ASCII bytes
+        raise TensorFileError(f"{path}: malformed header") from None
+    if len(shape) != rank or any(d < 0 for d in shape):
+        raise TensorFileError(f"{path}: malformed header")
+    return dtype, shape
+
+
+def read_tensor(path: Path, digest=None) -> np.ndarray:
+    """Read one array into a fresh buffer that the returned array owns.
+
+    ``digest`` (a ``hashlib`` object) is updated with every byte of the
+    file as read, so a caller can check a checksum without reading the file
+    a second time.
+    """
     with open(path, "rb") as f:
         header = f.read(HEADER_SIZE)
-        if len(header) < HEADER_SIZE or not header.startswith(MAGIC):
-            raise TensorFileError(f"{path}: not a tensor file")
-        fields = header[len(MAGIC) :].decode("ascii").split()
-        try:
-            code, rank = fields[0], int(fields[1])
-            shape = tuple(int(d) for d in fields[2 : 2 + rank])
-            dtype = np.dtype(DTYPE_OF_CODE[code])
-        except (KeyError, ValueError, IndexError):
-            raise TensorFileError(f"{path}: malformed header") from None
-        if len(shape) != rank:
-            raise TensorFileError(f"{path}: malformed header")
-        payload = f.read()
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    if len(payload) != expected:
-        raise TensorFileError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        dtype, shape = _parse_header(path, header)
+        expected = math.prod(shape) * dtype.itemsize
+        size = os.fstat(f.fileno()).st_size - HEADER_SIZE
+        if size != expected:
+            raise TensorFileError(f"{path}: payload is {size} bytes, expected {expected}")
+        buffer = bytearray(expected)
+        got = f.readinto(buffer)
+    if got != expected:
+        raise TensorFileError(f"{path}: payload is {got} bytes, expected {expected}")
+    if digest is not None:
+        digest.update(header)
+        digest.update(buffer)
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)

@@ -193,7 +193,8 @@ def impute(
     ``method`` is "none", "zero", "mean", "forward" or a callable invoked as
     ``method(X, y, fill, select)`` that must return ``(X, y)`` with shapes
     preserved. Built-in methods leave ``y`` and the mask/delta/time channels
-    untouched and never write into the padding region.
+    untouched and never write into the padding region. The inputs are not
+    modified.
     """
     if method == "none":
         return X, y
@@ -203,17 +204,31 @@ def impute(
         if X_new.shape != X.shape or y_new.shape != y.shape:
             raise ValueError("custom imputation changed tensor shapes")
         return X_new, y_new
+    out = X.copy()
+    impute_in_place(out, lengths, data_indices, method, fill)
+    return out, y
+
+
+def impute_in_place(
+    X: np.ndarray,
+    lengths: np.ndarray,
+    columns: Union[slice, np.ndarray],
+    method: str,
+    fill: np.ndarray,
+) -> None:
+    """Fill the gaps of ``X[:, :, columns]`` with a built-in method,
+    overwriting ``X``.
+
+    Each sequence is filled from its own valid region and ``fill`` alone, so
+    filling all rows at once equals filling any partition of them
+    separately.
+    """
     if method not in ("zero", "mean", "forward"):
         raise ValueError(f"unknown imputation method {method!r}")
-
-    out = X.copy()
     for i in range(X.shape[0]):
-        L = int(lengths[i])
-        block = out[i, :L, :][:, data_indices]
+        sub = X[i, : int(lengths[i])]
+        block = sub[:, columns]
         if method == "forward":
-            block = _forward_fill(block, fill)
+            sub[:, columns] = _forward_fill(block, fill)
         else:
-            block = np.where(np.isnan(block), fill[None, :], block)
-        sub = out[i, :L, :]
-        sub[:, data_indices] = block
-    return out, y
+            sub[:, columns] = np.where(np.isnan(block), fill[None, :], block)

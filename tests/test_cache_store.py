@@ -1,10 +1,17 @@
+import hashlib
+import multiprocessing
+import os
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsprep import cache_store
 from tsprep.cache_store import CacheAbsent, CacheCorrupt, CacheMiss, entry_dir, load, save
+from tsprep.tensorfile import HEADER_SIZE, MAGIC
+from tsprep.util import sha256_file
 
 
 def sample_tensors(seed=0):
@@ -126,3 +133,171 @@ def test_wrong_format_version_is_corrupt(tmp_path):
     meta_path.write_text(meta_path.read_text().replace('"format_version": 1', '"format_version": 99'))
     with pytest.raises(CacheCorrupt, match="format"):
         load(tmp_path, "demo", OPTIONS)
+
+
+def _flip_header_digit(blob: bytearray) -> None:
+    """Change the first dimension digit of the header: still ASCII, still
+    parseable, but the declared shape no longer matches the payload."""
+    for i in range(len(MAGIC) + 5, HEADER_SIZE):
+        if chr(blob[i]).isdigit():
+            blob[i] = ord("9") if blob[i] != ord("9") else ord("8")
+            return
+    raise AssertionError("no dimension digit in the header")
+
+
+CORRUPTIONS = {
+    "header_digit": _flip_header_digit,
+    "header_non_ascii": lambda blob: blob.__setitem__(HEADER_SIZE - 1, 0xE9),
+    "header_padding": lambda blob: blob.__setitem__(HEADER_SIZE - 1, ord("x")),
+    "truncated_payload": lambda blob: blob.__delitem__(slice(-8, None)),
+    "trailing_byte": lambda blob: blob.append(0),
+}
+
+
+@pytest.mark.parametrize("name", ["X.bin", "y.bin", "length.bin"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_damaged_blob_is_corrupt(tmp_path, name, corruption):
+    X, y, length = sample_tensors()
+    save(tmp_path, "demo", X, y, length, OPTIONS)
+    target = entry_dir(tmp_path, "demo") / name
+    blob = bytearray(target.read_bytes())
+    CORRUPTIONS[corruption](blob)
+    target.write_bytes(bytes(blob))
+    with pytest.raises(CacheCorrupt, match=name):
+        load(tmp_path, "demo", OPTIONS)
+
+
+def test_load_reads_each_blob_once(tmp_path, monkeypatch):
+    """Verification happens while the blobs are read: no separate hash pass."""
+    X, y, length = sample_tensors()
+    save(tmp_path, "demo", X, y, length, OPTIONS)
+    reads = []
+    real_open = open
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        if str(path).endswith(".bin"):
+            reads.append(Path(path).name)
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    load(tmp_path, "demo", OPTIONS)
+    assert sorted(reads) == ["X.bin", "length.bin", "y.bin"]
+
+
+def test_save_writes_checksums_of_written_bytes(tmp_path, monkeypatch):
+    X, y, length = sample_tensors()
+
+    def no_read_back(path):
+        raise AssertionError(f"{path} was read back to hash it")
+
+    monkeypatch.setattr(cache_store, "sha256_file", no_read_back)
+    entry = save(tmp_path, "demo", X, y, length, OPTIONS)
+    monkeypatch.undo()
+    assert cache_store.verify(entry.path) == []
+    assert cache_store.read_checksums(entry.path) == entry.checksums
+
+
+# ------------------------------------------------- concurrent writers
+# Two writers of one key interleave at the renames in save. Each test makes
+# the other writer act at the one moment that used to fail, by running it
+# from inside this writer's os.replace call.
+
+
+def _assert_single_valid_entry(root, X, y, length):
+    X2, y2, length2, _ = load(root, "demo", OPTIONS)
+    np.testing.assert_array_equal(X2, X)
+    np.testing.assert_array_equal(y2, y)
+    np.testing.assert_array_equal(length2, length)
+    assert [p.name for p in (root / ".torchtime").iterdir()] == ["demo"]
+
+
+@pytest.mark.parametrize("primed", [False, True], ids=["no_entry", "stale_entry"])
+def test_writer_losing_the_rename_keeps_the_winner(tmp_path, monkeypatch, primed):
+    """Both writers decide how to publish, then the other one renames its
+    entry into place first: this writer's rename finds a non-empty
+    directory and must drop its own copy."""
+    X, y, length = sample_tensors()
+    if primed:
+        save(tmp_path, "demo", X + 5.0, y, length, OPTIONS)
+    final = entry_dir(tmp_path, "demo")
+    real_replace = os.replace
+    raced = []
+
+    def racing_replace(src, dst):
+        if Path(dst) == final and not raced:
+            raced.append(src)
+            save(tmp_path, "demo", X, y, length, OPTIONS)  # the other writer
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(cache_store.os, "replace", racing_replace)
+    save(tmp_path, "demo", X, y, length, OPTIONS)
+    monkeypatch.undo()
+    assert raced
+    _assert_single_valid_entry(tmp_path, X, y, length)
+
+
+def test_writer_finding_the_entry_moved_away_still_publishes(tmp_path, monkeypatch):
+    """Both writers see the old entry; the other one moves it aside just
+    before this writer tries to."""
+    X, y, length = sample_tensors()
+    save(tmp_path, "demo", X + 5.0, y, length, OPTIONS)
+    final = entry_dir(tmp_path, "demo")
+    other_trash = tmp_path / ".torchtime" / ".demo.old-other"
+    real_replace = os.replace
+
+    def racing_replace(src, dst):
+        if Path(src) == final and not other_trash.exists():
+            real_replace(final, other_trash)  # the other writer got there first
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(cache_store.os, "replace", racing_replace)
+    save(tmp_path, "demo", X, y, length, OPTIONS)
+    monkeypatch.undo()
+    assert other_trash.is_dir()
+    shutil.rmtree(other_trash)  # the other writer's own clean-up
+    _assert_single_valid_entry(tmp_path, X, y, length)
+
+
+def _build_same_key(root, barrier, results, rounds):
+    """Child process: rebuild the same key ``rounds`` times, entering every
+    cache save together with the other processes."""
+    from tsprep.pipeline import PipelineConfig, build
+
+    real_save = cache_store.save
+
+    def synchronised_save(*args, **kwargs):
+        barrier.wait(timeout=30)
+        return real_save(*args, **kwargs)
+
+    cache_store.save = synchronised_save  # patched in this child only
+    config = PipelineConfig(
+        dataset="ArrowHead", split="train", train_prop=0.7, seed=3, path=root,
+        overwrite_cache=True,
+    )
+    try:
+        for _ in range(rounds):
+            ds = build(config)
+        results.put(("ok", hashlib.sha256(ds.X_full.tobytes()).hexdigest()))
+    except BaseException as err:  # reported to the parent, which fails the test
+        barrier.abort()
+        results.put(("error", repr(err)))
+
+
+def test_four_processes_build_the_same_key(arrowhead_root, copy_tree):
+    root = copy_tree(arrowhead_root)
+    ctx = multiprocessing.get_context("spawn")
+    barrier, results = ctx.Barrier(4), ctx.Queue()
+    procs = [
+        ctx.Process(target=_build_same_key, args=(root, barrier, results, 8)) for _ in range(4)
+    ]
+    for p in procs:
+        p.start()
+    outcomes = [results.get(timeout=120) for _ in procs]
+    for p in procs:
+        p.join(timeout=60)
+        assert not p.is_alive()
+    assert [o[0] for o in outcomes] == ["ok"] * 4, outcomes
+    assert len({o[1] for o in outcomes}) == 1
+    entry = entry_dir(root, "uea_arrowhead")
+    assert cache_store.verify(entry) == []
+    assert [p.name for p in entry.parent.iterdir() if p.name != "raw"] == ["uea_arrowhead"]

@@ -5,7 +5,7 @@ import pytest
 
 from tsprep.cache_store import entry_dir
 from tsprep.cli import main
-from tsprep.tensorfile import read_tensor
+from tsprep.tensorfile import HEADER_SIZE, read_tensor
 
 
 def run(argv):
@@ -216,3 +216,20 @@ def test_manifest_config_echo_bijective_with_pipeline_config(prepared_arrowhead)
     manifest = json.loads((prepared_dir(prepared_arrowhead) / "manifest.json").read_text())
     field_names = {f.name for f in dataclasses.fields(PipelineConfig)}
     assert set(manifest["config"]) == field_names
+
+
+def _damage_header(path):
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE - 1] = 0xE9  # one non-ASCII byte in the header padding
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("command", ["export", "info"])
+def test_damaged_tensor_header_exits_1(prepared_arrowhead, tmp_path, capsys, command):
+    prepared = prepared_dir(prepared_arrowhead)
+    _damage_header(prepared / "X_train.bin")
+    capsys.readouterr()
+    argv = [command, prepared] + (["--out", tmp_path / "out"] if command == "export" else [])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "X_train.bin: malformed header" in err

@@ -3,10 +3,13 @@ import logging
 import numpy as np
 import pytest
 
+from tsprep import cache_store, export
+from tsprep.batching import batches
 from tsprep.cache_store import entry_dir
 from tsprep.physionet import PHYSIONET_2012_CHANNELS
 from tsprep.pipeline import ConfigError, BuildError, PipelineConfig, build
-from tsprep.tensor_core import DATA, DELTA, MASK, TIME
+from tsprep.tensor_core import DATA, DELTA, MASK, TIME, Dataset
+from tsprep.tensorfile import HEADER_SIZE
 
 
 def arrowhead_config(root, **kwargs):
@@ -373,3 +376,56 @@ def test_arrowhead_first_batch_shape(arrowhead_root):
     assert first.length.shape == (32,)
     sizes = [b.n for b in batches(ds, "val", 32)]
     assert sizes == [32, 10]
+
+
+@pytest.mark.parametrize("damage", ["header_byte", "truncated_payload", "trailing_byte"])
+def test_damaged_cache_blob_rebuilds_same_bytes(arrowhead_root, copy_tree, caplog, damage):
+    root = copy_tree(arrowhead_root)
+    config = arrowhead_config(root, overwrite_cache=True)
+    first = build(config)
+    blob = entry_dir(root, "uea_arrowhead") / "X.bin"
+    data = bytearray(blob.read_bytes())
+    if damage == "header_byte":
+        data[HEADER_SIZE - 1] = 0xE9
+    elif damage == "truncated_payload":
+        del data[-8:]
+    else:
+        data.append(0)
+    blob.write_bytes(bytes(data))
+    with caplog.at_level(logging.WARNING):
+        second = build(arrowhead_config(root))
+    assert any("corrupt" in r.message and "X.bin" in r.message for r in caplog.records)
+    assert second.X_full.tobytes() == first.X_full.tobytes()
+    assert cache_store.verify(blob.parent) == []
+
+
+def test_written_digests_match_the_files(arrowhead_root, copy_tree, tmp_path, monkeypatch):
+    """Manifests carry the digests of the bytes written; nothing is read back
+    to compute them, and verification (which does read) agrees."""
+    root = copy_tree(arrowhead_root)
+    config = arrowhead_config(root)
+    ds = build(config)
+
+    def no_read_back(path):
+        raise AssertionError(f"{path} was read back to hash it")
+
+    monkeypatch.setattr(export, "sha256_file", no_read_back)
+    export.write_prepared(ds, config, tmp_path / "prepared")
+    export.export_prepared(tmp_path / "prepared", tmp_path / "exported", "f32")
+    monkeypatch.undo()
+    for directory in ("prepared", "exported"):
+        assert export.verify_manifest_files(tmp_path / directory) == []
+
+
+def test_batches_gather_rows_without_copying_the_split(arrowhead_root, monkeypatch):
+    ds = build(arrowhead_config(arrowhead_root, split="val"))
+    X_val, y_val, length_val = ds.X_val, ds.y_val, ds.length_val
+
+    def no_split_copy(self, split):
+        raise AssertionError("batches copied the whole split")
+
+    monkeypatch.setattr(Dataset, "tensors", no_split_copy)
+    out = list(batches(ds, "val", 16))
+    assert np.concatenate([b.X for b in out]).tobytes() == X_val.tobytes()
+    assert np.concatenate([b.y for b in out]).tobytes() == y_val.tobytes()
+    assert np.concatenate([b.length for b in out]).tolist() == length_val.tolist()

@@ -12,6 +12,7 @@ from tsprep.tensor_core import (
     channel_stats,
     pad_to_longest,
     standardise,
+    standardise_in_place,
 )
 
 
@@ -153,6 +154,53 @@ def test_standardise_keeps_nan_and_mask_delta():
     assert math.isnan(out[0, 0, 1])
     np.testing.assert_array_equal(out[0, :, 2], X[0, :, 2])
     np.testing.assert_array_equal(out[0, :, 3], X[0, :, 3])
+
+
+def per_channel_standardise(X, layout, stats):
+    """Reference: one channel at a time, skipping channels without training
+    observations and treating a zero or undefined std as 1."""
+    out = X.copy()
+    for k, c in enumerate(layout.data_indices):
+        if not stats.available[k]:
+            continue
+        sd = stats.std[k]
+        if not np.isfinite(sd) or sd == 0.0:
+            sd = 1.0
+        out[:, :, c] = (out[:, :, c] - stats.mean[k]) / sd
+    return out
+
+
+def test_standardise_equals_per_channel_reference_bitwise():
+    rng = np.random.RandomState(12)
+    X = rng.randn(7, 9, 9) * 3 - 2
+    X[rng.rand(*X.shape) < 0.3] = np.nan
+    X[:, :, 3] = 4.0  # constant: std 0 acts as 1
+    X[:4, :, 4] = np.nan  # never observed in training: passes through
+    X[0, 0, 5] = -0.0
+    layout = ChannelLayout(
+        (Channel("time", "time", 0),)
+        + tuple(Channel(f"d{i}", "data", i + 1) for i in range(6))
+        + (Channel("mask_d0", "mask", 1), Channel("delta_d0", "delta", 1))
+    )
+    stats = channel_stats(X[:4, :, 1:7], np.full(4, 9))
+    stats.std[4] = np.nan  # observed, but an undefined std acts as 1
+    assert stats.std[2] == 0.0 and not stats.available[3] and stats.available[4]
+    want = per_channel_standardise(X, layout, stats)
+    got = standardise(X, layout, stats)
+    assert got.tobytes() == want.tobytes()
+    in_place = X.copy()
+    assert standardise_in_place(in_place, layout, stats) is None
+    assert in_place.tobytes() == want.tobytes()
+
+
+def test_layout_data_slice_covers_the_data_block():
+    layout = ChannelLayout(
+        (Channel("time", "time", 0), Channel("a", "data", 1), Channel("b", "data", 2),
+         Channel("mask_a", "mask", 1))
+    )
+    assert layout.data_slice == slice(1, 3)
+    assert ChannelLayout((Channel("a", "data", 1),)).data_slice == slice(0, 1)
+    assert ChannelLayout((Channel("t", "time", 0),)).data_slice == slice(0, 0)
 
 
 def test_layout_enforces_block_order():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tsprep.tensorfile import (
     read_tensor,
     write_tensor,
 )
+from tsprep.util import sha256_file
 
 
 @pytest.mark.parametrize(
@@ -82,3 +85,52 @@ def test_unknown_code_rejected(tmp_path):
         write_tensor(tmp_path / "t.bin", np.zeros(3), "f16")
     with pytest.raises(TensorFileError, match="unsupported dtype"):
         write_tensor(tmp_path / "t.bin", np.zeros(3, dtype=np.int32))
+
+
+def test_write_returns_digest_of_the_file(tmp_path):
+    path = tmp_path / "t.bin"
+    array = np.random.RandomState(2).randn(7, 5, 3)
+    assert write_tensor(path, array) == sha256_file(path)
+    assert write_tensor(path, array, "f32") == sha256_file(path)
+    assert write_tensor(path, np.zeros((0, 4))) == sha256_file(path)
+
+
+def test_read_updates_digest_with_every_byte(tmp_path):
+    path = tmp_path / "t.bin"
+    write_tensor(path, np.arange(30, dtype=np.int64).reshape(5, 6))
+    digest = hashlib.sha256()
+    out = read_tensor(path, digest)
+    assert digest.hexdigest() == sha256_file(path)
+    assert out.flags.writeable  # owns a fresh buffer, like the former copy
+    out[0, 0] = -1
+    assert read_tensor(path)[0, 0] == 0
+
+
+@pytest.mark.parametrize("offset", [len(MAGIC) + 1, 20, HEADER_SIZE - 1])
+def test_non_ascii_header_byte_rejected(tmp_path, offset):
+    path = tmp_path / "t.bin"
+    write_tensor(path, np.zeros((2, 3)))
+    blob = bytearray(path.read_bytes())
+    blob[offset] = 0xE9
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TensorFileError, match="malformed header"):
+        read_tensor(path)
+
+
+def test_trailing_byte_rejected(tmp_path):
+    path = tmp_path / "t.bin"
+    write_tensor(path, np.zeros(10))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(TensorFileError, match="payload"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("dims", ["2 99999999999 99999999999", "2 -3 -8"])
+def test_impossible_shape_rejected_before_allocating(tmp_path, dims):
+    path = tmp_path / "t.bin"
+    write_tensor(path, np.zeros((3, 8)))
+    blob = bytearray(path.read_bytes())
+    blob[len(MAGIC) : HEADER_SIZE] = f" f64 {dims}".encode("ascii").ljust(HEADER_SIZE - len(MAGIC))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TensorFileError):
+        read_tensor(path)
