@@ -209,3 +209,47 @@ def test_fetch_dataset_unknown_name(tmp_path):
 def test_registry_covers_spec_datasets():
     for name in ("arrowhead", "charactertrajectories", "physionet2012", "physionet2019", "physionet2019binary"):
         assert name in REGISTRY
+
+
+def _tar_with_link(path, link_type, target):
+    """A tar.gz whose first member is a link ``link`` -> ``target`` and whose
+    second member writes a file through it."""
+    with tarfile.open(path, "w:gz") as tf:
+        link = tarfile.TarInfo("link")
+        link.type = link_type
+        link.linkname = target
+        tf.addfile(link)
+        data = b"escaped"
+        info = tarfile.TarInfo("link/evil.txt")
+        info.size = len(data)
+        tf.addfile(info, io.BytesIO(data))
+
+
+@pytest.mark.parametrize("has_filter", [True, False])
+def test_extract_tar_symlink_cannot_escape_dest(tmp_path, monkeypatch, has_filter):
+    if not has_filter:
+        monkeypatch.delattr(tarfile, "data_filter", raising=False)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    archive = tmp_path / "evil.tar.gz"
+    _tar_with_link(archive, tarfile.SYMTYPE, "../outside")
+    with pytest.raises(FetchError, match="unsafe entry"):
+        extract(archive, "tar-gz", tmp_path / "out")
+    assert not (outside / "evil.txt").exists()
+
+
+@pytest.mark.parametrize("has_filter", [True, False])
+def test_extract_tar_hardlink_outside_dest_rejected(tmp_path, monkeypatch, has_filter):
+    if not has_filter:
+        monkeypatch.delattr(tarfile, "data_filter", raising=False)
+    secret = tmp_path / "secret.txt"
+    secret.write_bytes(b"secret")
+    archive = tmp_path / "evil.tar.gz"
+    with tarfile.open(archive, "w:gz") as tf:
+        link = tarfile.TarInfo("copy.txt")
+        link.type = tarfile.LNKTYPE
+        link.linkname = str(secret)
+        tf.addfile(link)
+    with pytest.raises(FetchError, match="unsafe entry"):
+        extract(archive, "tar-gz", tmp_path / "out")
+    assert not (tmp_path / "out" / "copy.txt").exists()
