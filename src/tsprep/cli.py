@@ -80,7 +80,7 @@ def _add_prepare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--overwrite-cache", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--path", default=None, help="cache root (or TSPREP_CACHE)")
-    p.add_argument("--workers", type=int, default=1, help="parser threads")
+    p.add_argument("--workers", type=int, default=1, help="parser processes")
     p.add_argument("--out", default=None, help="prepared-directory location")
 
 

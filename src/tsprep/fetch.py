@@ -140,8 +140,26 @@ def _safe_members(names: list[str], archive: Path) -> None:
             raise FetchError(f"{archive}: unsafe entry name {name!r}")
 
 
+def _extract_tar(tf: tarfile.TarFile, archive: Path, dest: Path) -> None:
+    """Extract with the ``data`` filter, which refuses members and links that
+    resolve outside ``dest``; where the filter is missing, refuse every link
+    member, since a symlink followed by a file written through it escapes
+    ``dest`` even when every name is relative."""
+    if hasattr(tarfile, "data_filter"):
+        try:
+            tf.extractall(dest, filter="data")
+        except tarfile.FilterError as err:
+            raise FetchError(f"{archive}: unsafe entry: {err}") from err
+        return
+    for member in tf.getmembers():
+        if member.issym() or member.islnk():
+            raise FetchError(f"{archive}: unsafe entry {member.name!r}: links are not extracted")
+    tf.extractall(dest)
+
+
 def extract(archive: Path, kind: str, dest: Path) -> list[Path]:
-    """Unpack ``archive`` under ``dest``, rejecting path-traversal entries."""
+    """Unpack ``archive`` under ``dest``, rejecting path-traversal entries
+    and tar links that lead outside ``dest``."""
     dest.mkdir(parents=True, exist_ok=True)
     extracted: list[Path] = []
     if kind == "zip":
@@ -156,7 +174,7 @@ def extract(archive: Path, kind: str, dest: Path) -> list[Path]:
         try:
             with tarfile.open(archive, "r:gz") as tf:
                 _safe_members(tf.getnames(), archive)
-                tf.extractall(dest)
+                _extract_tar(tf, archive, dest)
                 extracted = [dest / m.name for m in tf.getmembers() if m.isfile()]
         except tarfile.TarError as err:
             raise FetchError(f"{archive}: corrupt tar: {err}") from err

@@ -10,8 +10,10 @@ pipe-separated ``.psv`` row per hour with a per-row ``SepsisLabel``.
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -90,15 +92,13 @@ class PatientRecord:
 
     ``times`` are minutes since admission (2012) or ICULOS hours (2019);
     ``values`` is a rows x data-channels matrix with NaN for missing cells.
-    2019 records carry per-row ``step_labels``; 2012 records carry the
-    static descriptor values in ``static_fields``.
+    2019 records carry per-row ``step_labels``.
     """
 
     record_id: str
     times: np.ndarray
     values: np.ndarray
     channel_names: tuple[str, ...]
-    static_fields: Optional[dict[str, float]] = None
     step_labels: Optional[np.ndarray] = None
 
     @property
@@ -204,12 +204,6 @@ def parse_patient_2012(text: str) -> PatientRecord:
         times=np.array(grid, dtype=np.float64),
         values=values,
         channel_names=PHYSIONET_2012_CHANNELS[1:],
-        static_fields={
-            "age": age,
-            "gender": gender,
-            "height": height,
-            "icu_type": icu_type,
-        },
     )
 
 
@@ -233,7 +227,14 @@ def parse_outcomes_2012(text: str) -> dict[str, Outcome2012]:
 def parse_patient_2019(text: str, record_id: str = "") -> PatientRecord:
     """Parse one 2019 ``.psv`` file: one row per hour, ``|``-separated,
     empty cells missing, ``ICULOS`` as the time stamp and per-row
-    ``SepsisLabel`` targets."""
+    ``SepsisLabel`` targets.
+
+    A well-formed file is converted with one numpy call over all its cells
+    (numpy converts each string as ``float`` does, so ``NaN`` in any case,
+    ``-nan``, padding and ``1e500`` give the same bits). A file with a blank
+    cell or any defect takes the per-cell path, which reads a blank as NaN
+    and raises the error for the first bad line.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise RecordParseError("empty record file")
@@ -245,13 +246,49 @@ def parse_patient_2019(text: str, record_id: str = "") -> PatientRecord:
     label_col = header.index("SepsisLabel")
     data_cols = [i for i in range(len(header)) if i not in (iculos_col, label_col)]
 
+    table = _table_2019(lines[1:], len(header))
+    if table is not None and ((table[:, label_col] == 0.0) | (table[:, label_col] == 1.0)).all():
+        times = table[:, iculos_col].copy()
+        labels = table[:, label_col].astype(np.int64)
+        values = table.take(data_cols, axis=1)
+    else:
+        times, labels, values = _rows_2019(lines, len(header), iculos_col, label_col, data_cols)
+
+    if np.isnan(times).any() or (np.diff(times) <= 0).any():
+        raise RecordParseError("ICULOS values must be strictly increasing")
+    return PatientRecord(
+        record_id=record_id,
+        times=times,
+        values=values,
+        channel_names=tuple(header[i] for i in data_cols),
+        step_labels=labels,
+    )
+
+
+def _table_2019(body: list[str], n_cols: int) -> Optional[np.ndarray]:
+    """All cells of the body lines as a rows x columns float table, or None
+    if a line has the wrong column count or a cell numpy cannot convert."""
+    if not body:
+        return np.empty((0, n_cols))
+    if set(map(str.count, body, repeat("|", len(body)))) != {n_cols - 1}:
+        return None
+    try:
+        cells = np.array("|".join(body).split("|"), dtype=np.float64)
+    except ValueError:
+        return None
+    return cells.reshape(len(body), n_cols)
+
+
+def _rows_2019(
+    lines: list[str], n_cols: int, iculos_col: int, label_col: int, data_cols: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell-by-cell parse of the body lines to ``(times, labels, values)``;
+    raises for the first malformed line."""
     times, labels, rows = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("|")
-        if len(cells) != len(header):
-            raise RecordParseError(
-                f"line {lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
+        if len(cells) != n_cols:
+            raise RecordParseError(f"line {lineno}: expected {n_cols} columns, got {len(cells)}")
 
         def cell(i: int) -> float:
             token = cells[i].strip()
@@ -265,16 +302,10 @@ def parse_patient_2019(text: str, record_id: str = "") -> PatientRecord:
             raise RecordParseError(f"line {lineno}: SepsisLabel must be 0 or 1")
         labels.append(int(label))
         rows.append([cell(i) for i in data_cols])
-
-    times_arr = np.array(times, dtype=np.float64)
-    if np.isnan(times_arr).any() or (np.diff(times_arr) <= 0).any():
-        raise RecordParseError("ICULOS values must be strictly increasing")
-    return PatientRecord(
-        record_id=record_id,
-        times=times_arr,
-        values=np.array(rows, dtype=np.float64).reshape(len(times), len(data_cols)),
-        channel_names=tuple(header[i] for i in data_cols),
-        step_labels=np.array(labels, dtype=np.int64),
+    return (
+        np.array(times, dtype=np.float64),
+        np.array(labels, dtype=np.int64),
+        np.array(rows, dtype=np.float64).reshape(len(times), len(data_cols)),
     )
 
 
@@ -298,31 +329,52 @@ def to_binary_2019(record: PatientRecord) -> tuple[PatientRecord, int]:
     return truncated, label
 
 
-def _read_parallel(paths: list[Path], parse, workers: int) -> list:
-    def job(path: Path):
-        return parse(path)
+# Chunks of paths per pool process: enough to even out unequal file sizes,
+# few enough that each task's pickling and scheduling stays negligible.
+_CHUNKS_PER_WORKER = 4
 
-    if workers <= 1:
-        return [job(p) for p in paths]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, paths))
+
+def _parse_2012_files(paths: list[Path]) -> list[PatientRecord]:
+    return [parse_patient_2012(path.read_text()) for path in paths]
+
+
+def _parse_2019_files(paths: list[Path]) -> list[PatientRecord]:
+    return [parse_patient_2019(path.read_text(), record_id=path.stem) for path in paths]
+
+
+def _read_parallel(paths: list[Path], parse_files, workers: int) -> list[PatientRecord]:
+    """``parse_files(paths)``, spread over up to ``workers`` processes.
+
+    The pool never has more processes than chunks or CPUs, and with one
+    process or fewer the files are parsed in this process. Paths are cut
+    into contiguous chunks and the results joined in path order, so the
+    output equals the serial parse for any worker count, and the first bad
+    file in path order is the one whose error is raised.
+    """
+    size = min(workers, os.cpu_count() or 1)
+    n_chunks = min(len(paths), _CHUNKS_PER_WORKER * size)
+    size = min(size, n_chunks)
+    if size <= 1:
+        return parse_files(paths)
+    bounds = [len(paths) * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = [paths[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return [record for part in pool.map(parse_files, chunks) for record in part]
 
 
 def load_records_2012(directory: Path, workers: int = 1) -> tuple[list[PatientRecord], int]:
     """Parse every ``set-*/*.txt`` record under ``directory``.
 
-    Returns records sorted by record id (so output is independent of file
-    order and worker count) plus the count of records dropped for having no
-    time series rows.
+    Returns records sorted by record id plus the count of records dropped
+    for having no time series rows. With ``workers > 1`` the files are parsed
+    in up to that many worker processes; ``workers=1`` parses in this
+    process. The output is byte-identical for any worker count.
     """
     paths = sorted(directory.glob("set-*/*.txt"))
     if not paths:
         raise FileNotFoundError(f"no set-*/ record files under {directory}")
 
-    def parse(path: Path) -> PatientRecord:
-        return parse_patient_2012(path.read_text())
-
-    records = _read_parallel(paths, parse, workers)
+    records = _read_parallel(paths, _parse_2012_files, workers)
     kept = [r for r in records if r.n_steps > 0]
     kept.sort(key=lambda r: int(r.record_id))
     return kept, len(records) - len(kept)
@@ -352,16 +404,15 @@ def load_records_2019(
     are truncated to 72 ICULOS hours, ``labels`` are the per-stay binary
     outcomes and patients with no rows inside the window are dropped (and
     counted); otherwise ``labels`` is empty and per-step labels stay on the
-    records.
+    records. With ``workers > 1`` the files are parsed in up to that many
+    worker processes; ``workers=1`` parses in this process. The output is
+    byte-identical for any worker count.
     """
     paths = sorted(directory.glob("training_set*/*.psv"))
     if not paths:
         raise FileNotFoundError(f"no training_set*/ .psv files under {directory}")
 
-    def parse(path: Path) -> PatientRecord:
-        return parse_patient_2019(path.read_text(), record_id=path.stem)
-
-    records = _read_parallel(paths, parse, workers)
+    records = _read_parallel(paths, _parse_2019_files, workers)
     records = [r for r in records if r.n_steps > 0]
     dropped = len(paths) - len(records)
     records.sort(key=lambda r: r.record_id)

@@ -294,8 +294,9 @@ def _data_block_indices(config: PipelineConfig, d: int, indices, what: str) -> l
 def build(config: PipelineConfig, workers: int = 1) -> Dataset:
     """Run the full pipeline for ``config`` and return the dataset.
 
-    ``workers`` parallelizes per-patient file parsing only; results are
-    byte-identical for any worker count.
+    ``workers`` is the number of worker processes that parse PhysioNet
+    record files on a cache miss (``workers=1`` parses in this process);
+    results are byte-identical for any worker count.
     """
     config.validate()
     root = Path(config.path)

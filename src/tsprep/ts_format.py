@@ -26,7 +26,6 @@ class TsHeader:
     univariate: bool
     series_length: Optional[int]
     has_timestamps: bool
-    has_missing: bool
     class_labels: tuple[str, ...]
 
 
@@ -66,6 +65,17 @@ def _parse_value(token: str) -> float:
         return float(token)
     except ValueError:
         raise TsParseError(f"invalid value {token!r}") from None
+
+
+def _parse_dimension(dim: str) -> np.ndarray:
+    """One dimension's comma-separated values as a float array: one numpy
+    conversion (which converts each string as ``float`` does), or token by
+    token where a ``?`` or an invalid token makes it fail."""
+    tokens = dim.split(",")
+    try:
+        return np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return np.array([_parse_value(v) for v in tokens], dtype=np.float64)
 
 
 def parse_ts_file(text: str, source_file: str = TRAIN_FILE) -> tuple[TsHeader, list[RawSeries]]:
@@ -135,10 +145,7 @@ def parse_ts_file(text: str, source_file: str = TRAIN_FILE) -> tuple[TsHeader, l
                 f"line {lineno}: expected {expected_dims} dimensions, got {len(dims)}"
             )
 
-        channels = [
-            np.array([_parse_value(v) for v in dim.split(",")], dtype=np.float64)
-            for dim in dims
-        ]
+        channels = [_parse_dimension(dim) for dim in dims]
         lengths = {len(c) for c in channels}
         if len(lengths) != 1:
             raise TsParseError(f"line {lineno}: unequal channel lengths within series")
@@ -169,6 +176,7 @@ def _build_header(directives: dict[str, list[str]]) -> TsHeader:
     if not class_labels:
         raise TsParseError("@classLabel true requires at least one label")
 
+    flag("missing")  # validated only: ``?`` tokens mark the missing values
     equal_length = flag("equallength", default="serieslength" in directives)
     series_length: Optional[int] = None
     if equal_length:
@@ -185,35 +193,8 @@ def _build_header(directives: dict[str, list[str]]) -> TsHeader:
         univariate=flag("univariate", default=True),
         series_length=series_length,
         has_timestamps=flag("timestamps"),
-        has_missing=flag("missing"),
         class_labels=class_labels,
     )
-
-
-def serialize_ts(header: TsHeader, series: list[RawSeries]) -> str:
-    """Render header and series back to ``.ts`` text.
-
-    Values use ``repr`` formatting, so parse -> serialize -> parse is exact,
-    NaN positions included.
-    """
-    lines = []
-    if header.problem_name:
-        lines.append(f"@problemName {header.problem_name}")
-    lines.append(f"@timeStamps {str(header.has_timestamps).lower()}")
-    lines.append(f"@missing {str(header.has_missing).lower()}")
-    lines.append(f"@univariate {str(header.univariate).lower()}")
-    lines.append(f"@equalLength {str(header.series_length is not None).lower()}")
-    if header.series_length is not None:
-        lines.append(f"@seriesLength {header.series_length}")
-    lines.append("@classLabel true " + " ".join(header.class_labels))
-    lines.append("@data")
-    for s in series:
-        dims = [
-            ",".join("?" if math.isnan(v) else repr(float(v)) for v in channel)
-            for channel in s.channels
-        ]
-        lines.append(":".join(dims) + ":" + s.label)
-    return "\n".join(lines) + "\n"
 
 
 def merge_train_test(train: list[RawSeries], test: list[RawSeries]) -> list[RawSeries]:

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from tsprep import physionet
 from tsprep.physionet import (
     PHYSIONET_2012_CHANNELS,
     RecordParseError,
@@ -266,3 +268,67 @@ def test_2019_loading_sorted(physionet2019_root):
     ids = [r.record_id for r in records]
     assert ids == sorted(ids)
     assert set(labels.tolist()) == {0, 1}
+
+
+def test_2019_clean_file_skips_the_per_cell_path(monkeypatch):
+    def fail(*args):
+        raise AssertionError("per-cell path used")
+
+    monkeypatch.setattr(physionet, "_rows_2019", fail)
+    record = parse_patient_2019(make_psv(["72|NaN|37.0|1|0", " nan |97|-nan|2|1"]))
+    np.testing.assert_array_equal(record.times, [1.0, 2.0])
+    np.testing.assert_array_equal(record.step_labels, [0, 1])
+    assert record.values.flags.c_contiguous and record.times.flags.c_contiguous
+
+
+class RecordingPool:
+    """Stands in for the process pool: records its size, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(chunk) for chunk in chunks]
+
+
+@pytest.mark.parametrize(
+    "workers,cpus,want",
+    [
+        (10_000, 3, [3]),  # capped by the CPUs
+        (10_000, 64, [16]),  # capped by the chunks: one path per chunk
+        (2, 64, [2]),
+        (10_000, 1, []),  # one CPU: parsed in-process, no pool
+        (10_000, None, []),  # CPU count unknown: treated as one
+        (1, 64, []),
+        (0, 64, []),
+    ],
+)
+def test_2019_pool_size_is_bounded(physionet2019_root, monkeypatch, workers, cpus, want):
+    raw = physionet2019_root / ".torchtime" / "raw" / "physionet2019"
+    monkeypatch.setattr(physionet, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    RecordingPool.sizes = []
+    records, _, dropped = load_records_2019(raw, workers=workers)
+    assert RecordingPool.sizes == want
+    serial, _, _ = load_records_2019(raw, workers=1)
+    assert [r.record_id for r in records] == [r.record_id for r in serial]
+    for a, b in zip(records, serial):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_2012_pool_size_is_bounded(physionet2012_root, monkeypatch):
+    raw = physionet2012_root / ".torchtime" / "raw" / "physionet2012"
+    monkeypatch.setattr(physionet, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    RecordingPool.sizes = []
+    records, dropped = load_records_2012(raw, workers=10_000)
+    assert RecordingPool.sizes == [4]
+    assert dropped == 1 and len(records) == len(load_records_2012(raw)[0])

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from tsprep import ts_format
 from tsprep.ts_format import (
     RawSeries,
     TsParseError,
     merge_train_test,
+    TsHeader,
     parse_ts_file,
-    serialize_ts,
 )
 
 MINIMAL = """@problemName Tiny
@@ -99,9 +100,46 @@ def test_all_missing_channel_parses():
     assert np.isnan(series[0].channels[0]).all()
 
 
+def test_dimension_without_missing_values_is_converted_at_once(monkeypatch):
+    calls = []
+    real = ts_format._parse_value
+    monkeypatch.setattr(ts_format, "_parse_value", lambda t: calls.append(t) or real(t))
+    text = "@univariate false\n@classLabel true a\n@data\n1.5, 2 ,3:?,4,5:a\n"
+    _, series = parse_ts_file(text)
+    assert calls == ["?", "4", "5"]  # only the dimension holding a ? goes token by token
+    np.testing.assert_array_equal(series[0].channels[0], [1.5, 2.0, 3.0])
+
+
 def test_crlf_accepted():
     header, series = parse_ts_file(MINIMAL.replace("\n", "\r\n"))
     assert len(series) == 1
+
+
+def serialize_ts(header: TsHeader, series: list[RawSeries]) -> str:
+    """Render header and series back to ``.ts`` text.
+
+    Values use ``repr`` formatting, so parse -> serialize -> parse is exact,
+    NaN positions included.
+    """
+    missing = any(np.isnan(c).any() for s in series for c in s.channels)
+    lines = []
+    if header.problem_name:
+        lines.append(f"@problemName {header.problem_name}")
+    lines.append(f"@timeStamps {str(header.has_timestamps).lower()}")
+    lines.append(f"@missing {str(missing).lower()}")
+    lines.append(f"@univariate {str(header.univariate).lower()}")
+    lines.append(f"@equalLength {str(header.series_length is not None).lower()}")
+    if header.series_length is not None:
+        lines.append(f"@seriesLength {header.series_length}")
+    lines.append("@classLabel true " + " ".join(header.class_labels))
+    lines.append("@data")
+    for s in series:
+        dims = [
+            ",".join("?" if math.isnan(v) else repr(float(v)) for v in channel)
+            for channel in s.channels
+        ]
+        lines.append(":".join(dims) + ":" + s.label)
+    return "\n".join(lines) + "\n"
 
 
 def test_roundtrip_serialize_parse():
@@ -140,6 +178,7 @@ def test_roundtrip_serialize_parse():
         ("@classLabel true a\n1,2:a\n@data\n", "data before @data"),
         ("@classLabel true a\n@data\n1,2:b\n", "unknown class label"),
         ("@univariate maybe\n@classLabel true a\n@data\n1:a\n", "true/false"),
+        ("@missing maybe\n@classLabel true a\n@data\n1:a\n", "true/false"),
         ("@classLabel true a\n@bogus x\n@data\n1:a\n", "unknown directive"),
         ("@classLabel false\n@data\n1,2\n", "classLabel"),
         ("@classLabel true a\n@timeStamps true\n@data\n(0,1):a\n", "not supported"),
