@@ -11,6 +11,7 @@ included.
 """
 
 import math
+import os
 import random
 
 import numpy as np
@@ -347,9 +348,25 @@ def test_load_records_2019_same_bytes_for_any_worker_count(psv_tree, binary):
             same_record(got, want)
 
 
-def test_load_records_2019_reports_the_first_bad_file(psv_tree):
-    (psv_tree / "training_setA" / "p000002.psv").write_text("HR|ICULOS|SepsisLabel\n1|1|5\n")
-    (psv_tree / "training_setB" / "p000005.psv").write_text("HR|ICULOS|SepsisLabel\n1|1\n")
+@pytest.mark.parametrize("first,last", [("p000002", "p000005"), ("p000000", "p000007")])
+def test_load_records_2019_reports_the_first_bad_file(psv_tree, monkeypatch, first, last):
+    (psv_tree / "training_setA" / f"{first}.psv").write_text("HR|ICULOS|SepsisLabel\n1|1|5\n")
+    (psv_tree / "training_setB" / f"{last}.psv").write_text("HR|ICULOS|SepsisLabel\n1|1\n")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # eight chunks for nine files
     for workers in (1, 2):
         with pytest.raises(RecordParseError, match="^line 2: SepsisLabel must be 0 or 1$"):
             load_records_2019(psv_tree, workers=workers)
+
+
+def test_load_records_2019_duplicate_ids_keep_path_order(psv_tree, monkeypatch):
+    # the same stay id in both subsets: records are sorted by id, and the
+    # sort keeps path order between equal ids for any worker count
+    (psv_tree / "training_setB" / "p000008.psv").write_text("HR|O2Sat|Temp|ICULOS|SepsisLabel\n"
+                                                            "5|6|7|1|1\n")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # eight chunks for ten files
+    serial, _, _ = load_records_2019(psv_tree, workers=1)
+    twins = [r for r in serial if r.record_id == "p000008"]
+    assert [r.n_steps for r in twins] == [10, 1]  # training_setA first
+    parallel, _, _ = load_records_2019(psv_tree, workers=2)
+    for got, want in zip(parallel, serial, strict=True):
+        same_record(got, want)
