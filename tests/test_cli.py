@@ -124,6 +124,39 @@ def test_export_unknown_format_exits_2(prepared_arrowhead, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["prepare", "export"])
+def test_out_at_foreign_directory_exits_2_and_keeps_its_files(
+    prepared_arrowhead, tmp_path, capsys, command
+):
+    out = tmp_path / "mine"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me")
+    if command == "prepare":
+        argv = ["prepare", "ArrowHead", "--train-prop", 0.7, "--seed", 1,
+                "--path", prepared_arrowhead, "--out", out]
+    else:
+        argv = ["export", prepared_dir(prepared_arrowhead), "--out", out]
+    assert run(argv) == 2
+    assert "not a tsprep directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "keep me"
+
+
+def test_export_refuses_manifest_names_outside_the_directory(prepared_arrowhead, tmp_path, capsys):
+    """A manifest entry ``../escaped.bin`` must neither be read from beside
+    the prepared directory nor written beside the export directory."""
+    prepared = prepared_dir(prepared_arrowhead)
+    (prepared.parent / "escaped.bin").write_bytes((prepared / "X_train.bin").read_bytes())
+    manifest = json.loads((prepared / "manifest.json").read_text())
+    manifest["files"]["../escaped.bin"] = manifest["files"]["X_train.bin"]
+    (prepared / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out" / "inner"
+    assert run(["export", prepared, "--out", out]) == 1
+    assert "../escaped.bin" in capsys.readouterr().err
+    assert not (out.parent / "escaped.bin").exists()
+    assert not out.exists()
+
+
 def test_validate_intact_and_corrupt(prepared_arrowhead, capsys):
     out = prepared_dir(prepared_arrowhead)
     assert run(["validate", out]) == 0
