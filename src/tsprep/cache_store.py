@@ -3,24 +3,19 @@
 Layout: ``<root>/.torchtime/<key>/`` holding ``X.bin``, ``y.bin``,
 ``length.bin`` (full-precision tensor files), ``meta.json`` and
 ``checksums.txt`` (``sha256sum``-compatible lines covering the blobs).
-Entries are written to a temp directory and renamed into place, so readers
+Entries are published whole by :func:`tsprep.util.staged_dir`, so readers
 only ever see absent, old or complete entries.
 """
 
-import errno
 import hashlib
 import json
-import os
-import shutil
-import uuid
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from tsprep.tensorfile import TensorFileError, read_tensor, write_tensor
-from tsprep.util import canonical_json, sha256_file
+from tsprep.util import canonical_json, sha256_file, staged_dir
 
 CACHE_FORMAT_VERSION = 1
 CACHE_DIRNAME = ".torchtime"
@@ -42,13 +37,6 @@ class CacheCorrupt(CacheMiss):
     """Checksum or format mismatch: never silently loaded."""
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    path: Path
-    checksums: dict[str, str]
-    meta: dict
-
-
 def entry_dir(root: Path, key: str) -> Path:
     return Path(root) / CACHE_DIRNAME / key
 
@@ -61,21 +49,17 @@ def save(
     length: np.ndarray,
     source_options: dict,
     dataset_info: dict | None = None,
-) -> CacheEntry:
-    """Write a cache entry atomically (temp dir, then rename).
+) -> None:
+    """Write a cache entry through :func:`tsprep.util.staged_dir`.
 
     Tensors are stored at full precision (f64/f64/i64) so a cache round trip
     is bitwise exact; ``checksums.txt`` holds the digests of the bytes as
     they were written. Concurrent writers of one key do not fail: a writer
     whose rename finds another writer's entry already in place discards its
-    own temp dir and keeps that entry, which holds the same bytes when the
+    own copy and keeps that entry, which holds the same bytes when the
     inputs are the same.
     """
-    final = entry_dir(root, key)
-    final.parent.mkdir(parents=True, exist_ok=True)
-    tmp = final.parent / f".{key}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-    tmp.mkdir()
-    try:
+    with staged_dir(entry_dir(root, key)) as tmp:
         checksums = {
             "X.bin": write_tensor(tmp / "X.bin", X, "f64"),
             "y.bin": write_tensor(tmp / "y.bin", y, "f64"),
@@ -91,35 +75,6 @@ def save(
         (tmp / "meta.json").write_text(canonical_json(meta), encoding="utf-8")
         lines = "".join(f"{digest}  {name}\n" for name, digest in sorted(checksums.items()))
         (tmp / "checksums.txt").write_text(lines, encoding="utf-8")
-        _publish(tmp, final)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    return CacheEntry(path=final, checksums=checksums, meta=meta)
-
-
-def _publish(tmp: Path, final: Path) -> None:
-    """Rename ``tmp`` to ``final``, moving an existing entry aside first.
-
-    Losing a race to another writer of the same key is not an error: if it
-    moved the old entry aside first there is nothing left to move, and if
-    its entry is renamed into place first, ``tmp`` is discarded.
-    """
-    trash = None
-    if final.exists():
-        trash = final.parent / f".{final.name}.old-{uuid.uuid4().hex[:8]}"
-        try:
-            os.replace(final, trash)
-        except FileNotFoundError:
-            trash = None  # another writer moved it aside first
-    try:
-        os.replace(tmp, final)
-    except OSError as err:
-        if err.errno not in (errno.ENOTEMPTY, errno.EEXIST):
-            raise
-        shutil.rmtree(tmp, ignore_errors=True)  # another writer's entry won
-    if trash is not None:
-        shutil.rmtree(trash, ignore_errors=True)
 
 
 def read_checksums(directory: Path) -> dict[str, str]:

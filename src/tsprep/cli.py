@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("entry", help="prepared directory")
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--dtype", default="f32", choices=["f32", "f64"])
-    p_export.add_argument("--format", default="tsprep", dest="fmt")
 
     p_info = sub.add_parser("info", help="describe a prepared directory")
     p_info.add_argument("entry")
@@ -156,7 +155,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    manifest_path = export.export_prepared(args.entry, args.out, dtype=args.dtype, fmt=args.fmt)
+    manifest_path = export.export_prepared(args.entry, args.out, dtype=args.dtype)
     print(f"exported to {Path(args.out)} ({args.dtype}); manifest: {manifest_path}")
     return EXIT_OK
 

@@ -403,25 +403,17 @@ def _assemble_channels(
     channels: list[Channel] = []
     if config.time:
         blocks.append(X[:, :, :1])
-        channels.append(Channel(name=time_name, kind=TIME, source=0))
+        channels.append(Channel(name=time_name, kind=TIME))
     blocks.append(X[:, :, 1:])
-    channels.extend(
-        Channel(name=name, kind=DATA, source=i + 1) for i, name in enumerate(data_names)
-    )
+    channels.extend(Channel(name=name, kind=DATA) for name in data_names)
     mask = None
     if config.mask or config.delta:
         mask = transforms.observational_mask(X[:, :, cover], lengths)
     if config.mask:
         blocks.append(mask)
-        channels.extend(
-            Channel(name=f"mask_{name}", kind=MASK, source=src)
-            for src, name in zip(cover, cover_names)
-        )
+        channels.extend(Channel(name=f"mask_{name}", kind=MASK) for name in cover_names)
     if config.delta:
         delta = transforms.time_delta(X[:, :, 0], mask, lengths)
         blocks.append(delta)
-        channels.extend(
-            Channel(name=f"delta_{name}", kind=DELTA, source=src)
-            for src, name in zip(cover, cover_names)
-        )
+        channels.extend(Channel(name=f"delta_{name}", kind=DELTA) for name in cover_names)
     return np.concatenate(blocks, axis=2), ChannelLayout(channels=tuple(channels))

@@ -89,16 +89,6 @@ class Xoshiro256StarStar:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choose(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates."""
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot choose {k} from {n}")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randbelow(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
-
 
 _U64 = np.uint64
 
@@ -237,10 +227,6 @@ class SplitSpec:
                 raise ValueError("train_prop and val_prop must be positive")
             if self.train_prop + self.val_prop >= 1.0:
                 raise ValueError("train_prop + val_prop must be < 1 when val_prop is given")
-
-    @property
-    def has_test(self) -> bool:
-        return self.val_prop is not None
 
 
 @dataclass(frozen=True)

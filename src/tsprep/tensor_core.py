@@ -15,7 +15,7 @@ The public ``standardise`` copies first and leaves its input untouched.
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,12 +27,10 @@ DELTA = "delta"
 
 @dataclass(frozen=True)
 class Channel:
-    """One output channel: its name, kind and, for mask/delta channels, the
-    index of the source channel it describes."""
+    """One output channel: its name and kind (time, data, mask or delta)."""
 
     name: str
     kind: str
-    source: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -161,42 +159,19 @@ class Dataset:
     def length(self) -> np.ndarray:
         return self._select(self.length_full, self.split)
 
-    # explicit accessors
-    @property
-    def X_train(self) -> np.ndarray:
-        return self._select(self.X_full, "train")
 
-    @property
-    def y_train(self) -> np.ndarray:
-        return self._select(self.y_full, "train")
+def _split_accessor(stem: str, split: str) -> property:
+    def get(self: Dataset) -> np.ndarray:
+        return self._select(getattr(self, f"{stem}_full"), split)
 
-    @property
-    def length_train(self) -> np.ndarray:
-        return self._select(self.length_full, "train")
+    get.__doc__ = f"``{stem}`` for the {split} split (a copy of its rows)."
+    return property(get)
 
-    @property
-    def X_val(self) -> np.ndarray:
-        return self._select(self.X_full, "val")
 
-    @property
-    def y_val(self) -> np.ndarray:
-        return self._select(self.y_full, "val")
-
-    @property
-    def length_val(self) -> np.ndarray:
-        return self._select(self.length_full, "val")
-
-    @property
-    def X_test(self) -> np.ndarray:
-        return self._select(self.X_full, "test")
-
-    @property
-    def y_test(self) -> np.ndarray:
-        return self._select(self.y_full, "test")
-
-    @property
-    def length_test(self) -> np.ndarray:
-        return self._select(self.length_full, "test")
+# the explicit accessors X_train, y_train, length_train, X_val, ..., length_test
+for _split in SPLIT_CODES:
+    for _stem in ("X", "y", "length"):
+        setattr(Dataset, f"{_stem}_{_split}", _split_accessor(_stem, _split))
 
 
 def pad_to_longest(series: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

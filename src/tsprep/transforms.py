@@ -62,7 +62,9 @@ def simulate_missing(
     # partial Fisher-Yates is one array step over the sequences that still
     # need a t-th draw. Each lane consumes its stream in the scalar order
     # (channel 0's draws, then channel 1's, ...), so sequence i drops exactly
-    # the positions of Xoshiro256StarStar(substream_seed(seed, i)).choose(L, k).
+    # the first k slots of a scalar partial Fisher-Yates over range(L) drawn
+    # with Xoshiro256StarStar(substream_seed(seed, i)).randbelow, the loop
+    # that the tests keep as the reference.
     lengths = np.asarray(lengths, dtype=np.int64)
     lanes = XoshiroLanes([substream_seed(seed, i) for i in range(n)])
     distinct, length_of = np.unique(lengths, return_inverse=True)

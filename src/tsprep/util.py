@@ -1,9 +1,16 @@
-"""Small shared helpers: hashing, canonical JSON, deterministic rounding."""
+"""Small shared helpers: hashing, canonical JSON, deterministic rounding and
+the one way tsprep publishes a directory (:func:`staged_dir`)."""
 
+import errno
 import hashlib
 import json
 import math
+import os
+import shutil
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 _CHUNK = 1 << 16
 
@@ -18,10 +25,6 @@ def sha256_file(path: Path) -> str:
                 break
             h.update(chunk)
     return h.hexdigest()
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def canonical_json(obj) -> str:
@@ -39,3 +42,44 @@ def round_half_up(x: float) -> int:
     platform-independent and documentable, unlike banker's rounding.
     """
     return int(math.floor(x + 0.5))
+
+
+@contextmanager
+def staged_dir(final: Path) -> Iterator[Path]:
+    """Yield a new, empty temp directory beside ``final``; when the block
+    completes, the temp directory replaces ``final`` whole.
+
+    Readers only ever see ``final`` absent, old or complete, never a mix of
+    old and new files. If the block raises, the temp directory is removed
+    and ``final`` is left as it was. An existing ``final`` is moved aside,
+    the temp directory is renamed into place and the old one is deleted.
+
+    Concurrent writers of one ``final`` do not fail. If another writer moved
+    the old directory aside first, there is nothing left to move. If another
+    writer's directory is renamed into place first, this writer's temp
+    directory is discarded and the other one's is kept.
+    """
+    final = Path(final)
+    final.parent.mkdir(parents=True, exist_ok=True)
+    tmp = final.parent / f".{final.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    tmp.mkdir()
+    try:
+        yield tmp
+        trash = None
+        if final.exists():
+            trash = final.parent / f".{final.name}.old-{uuid.uuid4().hex[:8]}"
+            try:
+                os.replace(final, trash)
+            except FileNotFoundError:
+                trash = None  # another writer moved it aside first
+        try:
+            os.replace(tmp, final)
+        except OSError as err:
+            if err.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                raise
+            shutil.rmtree(tmp, ignore_errors=True)  # another writer's directory won
+        if trash is not None:
+            shutil.rmtree(trash, ignore_errors=True)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise

@@ -258,7 +258,7 @@ def test_criterion_08_standardisation(traj_root):
     sd = math.sqrt(sum((v - mu) ** 2 for v in train_values) / len(train_values))
     from tsprep.tensor_core import Channel, ChannelLayout, standardise
 
-    layout = ChannelLayout((Channel("time", "time", 0), Channel("d0", "data", 1)))
+    layout = ChannelLayout((Channel("time", "time"), Channel("d0", "data")))
     stats = channel_stats(X[:2, :, 1:], np.array([3, 3]))
     out = standardise(X, layout, stats)
     for row in (2, 3):

@@ -24,7 +24,7 @@ def make_dataset(n=10, s=6, c=2, seed=0, per_step_y=False):
         X_full=X,
         y_full=y,
         length_full=lengths,
-        layout=ChannelLayout(tuple(Channel(f"d{i}", "data", i + 1) for i in range(c))),
+        layout=ChannelLayout(tuple(Channel(f"d{i}", "data") for i in range(c))),
         stats=channel_stats(X, lengths),
         split_of_index=codes,
         split="train",

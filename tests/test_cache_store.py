@@ -28,7 +28,7 @@ OPTIONS = {"kind": "uea", "dataset": "Demo"}
 
 def test_save_load_roundtrip_bitwise(tmp_path):
     X, y, length = sample_tensors()
-    entry = save(tmp_path, "demo", X, y, length, OPTIONS, dataset_info={"channels": ["a"]})
+    save(tmp_path, "demo", X, y, length, OPTIONS, dataset_info={"channels": ["a"]})
     X2, y2, length2, meta = load(tmp_path, "demo", OPTIONS)
     np.testing.assert_array_equal(X2, X)
     np.testing.assert_array_equal(y2, y)
@@ -36,7 +36,6 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     assert meta["dataset"] == "demo"
     assert meta["source_options"] == OPTIONS
     assert meta["dataset_info"] == {"channels": ["a"]}
-    assert entry.path == entry_dir(tmp_path, "demo")
 
 
 def test_absent_entry_is_a_distinct_miss(tmp_path):
@@ -117,7 +116,7 @@ def test_interrupted_save_leaves_no_entry(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(cache_store.os, "replace", explode)
+    monkeypatch.setattr(os, "replace", explode)
     with pytest.raises(OSError):
         save(tmp_path, "demo", X, y, length, OPTIONS)
     monkeypatch.undo()
@@ -191,10 +190,12 @@ def test_save_writes_checksums_of_written_bytes(tmp_path, monkeypatch):
         raise AssertionError(f"{path} was read back to hash it")
 
     monkeypatch.setattr(cache_store, "sha256_file", no_read_back)
-    entry = save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length, OPTIONS)
     monkeypatch.undo()
-    assert cache_store.verify(entry.path) == []
-    assert cache_store.read_checksums(entry.path) == entry.checksums
+    directory = entry_dir(tmp_path, "demo")
+    assert cache_store.read_checksums(directory) == {
+        name: sha256_file(directory / name) for name in ("X.bin", "y.bin", "length.bin")
+    }
 
 
 # ------------------------------------------------- concurrent writers
@@ -229,7 +230,7 @@ def test_writer_losing_the_rename_keeps_the_winner(tmp_path, monkeypatch, primed
             save(tmp_path, "demo", X, y, length, OPTIONS)  # the other writer
         return real_replace(src, dst)
 
-    monkeypatch.setattr(cache_store.os, "replace", racing_replace)
+    monkeypatch.setattr(os, "replace", racing_replace)
     save(tmp_path, "demo", X, y, length, OPTIONS)
     monkeypatch.undo()
     assert raced
@@ -250,7 +251,7 @@ def test_writer_finding_the_entry_moved_away_still_publishes(tmp_path, monkeypat
             real_replace(final, other_trash)  # the other writer got there first
         return real_replace(src, dst)
 
-    monkeypatch.setattr(cache_store.os, "replace", racing_replace)
+    monkeypatch.setattr(os, "replace", racing_replace)
     save(tmp_path, "demo", X, y, length, OPTIONS)
     monkeypatch.undo()
     assert other_trash.is_dir()

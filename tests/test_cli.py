@@ -119,9 +119,10 @@ def test_export_unknown_format_exits_2(prepared_arrowhead, tmp_path, capsys):
         run(["export", prepared_dir(prepared_arrowhead), "--out", tmp_path / "x",
              "--dtype", "f16"])
     assert excinfo.value.code == 2
-    code = run(["export", prepared_dir(prepared_arrowhead), "--out", tmp_path / "x",
-                "--format", "npz"])
-    assert code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        run(["export", prepared_dir(prepared_arrowhead), "--out", tmp_path / "x",
+             "--format", "npz"])
+    assert excinfo.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["prepare", "export"])

@@ -93,13 +93,26 @@ def test_shuffle_is_a_permutation_and_deterministic():
     assert c != a
 
 
+def choose(gen, n: int, k: int) -> list[int]:
+    """k distinct indices from range(n), via partial Fisher-Yates over
+    ``gen.randbelow``: the scalar reference for the positions that
+    ``simulate_missing`` drops."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot choose {k} from {n}")
+    pool = list(range(n))
+    for i in range(k):
+        j = i + gen.randbelow(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
 def test_choose_k_distinct():
     gen = rng_from_seed(5)
-    picked = gen.choose(20, 8)
+    picked = choose(gen, 20, 8)
     assert len(picked) == 8 and len(set(picked)) == 8
     assert all(0 <= p < 20 for p in picked)
     with pytest.raises(ValueError):
-        gen.choose(5, 6)
+        choose(gen, 5, 6)
 
 
 def test_substreams_are_distinct_and_stable():

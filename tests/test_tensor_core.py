@@ -85,8 +85,8 @@ def test_channel_stats_unobserved_channel():
 def layout_for(n_data, time=True):
     channels = []
     if time:
-        channels.append(Channel("time", "time", 0))
-    channels += [Channel(f"d{i}", "data", i + 1) for i in range(n_data)]
+        channels.append(Channel("time", "time"))
+    channels += [Channel(f"d{i}", "data") for i in range(n_data)]
     return ChannelLayout(tuple(channels))
 
 
@@ -143,10 +143,10 @@ def test_standardise_keeps_nan_and_mask_delta():
     X[0, :, 3] = [0.0, 1.0]  # delta block
     layout = ChannelLayout(
         (
-            Channel("time", "time", 0),
-            Channel("d0", "data", 1),
-            Channel("mask_d0", "mask", 1),
-            Channel("delta_d0", "delta", 1),
+            Channel("time", "time"),
+            Channel("d0", "data"),
+            Channel("mask_d0", "mask"),
+            Channel("delta_d0", "delta"),
         )
     )
     stats = channel_stats(X[:, :, 1:2], np.array([2]))
@@ -178,9 +178,9 @@ def test_standardise_equals_per_channel_reference_bitwise():
     X[:4, :, 4] = np.nan  # never observed in training: passes through
     X[0, 0, 5] = -0.0
     layout = ChannelLayout(
-        (Channel("time", "time", 0),)
-        + tuple(Channel(f"d{i}", "data", i + 1) for i in range(6))
-        + (Channel("mask_d0", "mask", 1), Channel("delta_d0", "delta", 1))
+        (Channel("time", "time"),)
+        + tuple(Channel(f"d{i}", "data") for i in range(6))
+        + (Channel("mask_d0", "mask"), Channel("delta_d0", "delta"))
     )
     stats = channel_stats(X[:4, :, 1:7], np.full(4, 9))
     stats.std[4] = np.nan  # observed, but an undefined std acts as 1
@@ -195,17 +195,17 @@ def test_standardise_equals_per_channel_reference_bitwise():
 
 def test_layout_data_slice_covers_the_data_block():
     layout = ChannelLayout(
-        (Channel("time", "time", 0), Channel("a", "data", 1), Channel("b", "data", 2),
-         Channel("mask_a", "mask", 1))
+        (Channel("time", "time"), Channel("a", "data"), Channel("b", "data"),
+         Channel("mask_a", "mask"))
     )
     assert layout.data_slice == slice(1, 3)
-    assert ChannelLayout((Channel("a", "data", 1),)).data_slice == slice(0, 1)
-    assert ChannelLayout((Channel("t", "time", 0),)).data_slice == slice(0, 0)
+    assert ChannelLayout((Channel("a", "data"),)).data_slice == slice(0, 1)
+    assert ChannelLayout((Channel("t", "time"),)).data_slice == slice(0, 0)
 
 
 def test_layout_enforces_block_order():
     with pytest.raises(ValueError, match="ordered"):
-        ChannelLayout((Channel("mask_x", "mask", 1), Channel("x", "data", 1)))
+        ChannelLayout((Channel("mask_x", "mask"), Channel("x", "data")))
 
 
 def make_dataset(has_test=True, split="train"):
@@ -219,7 +219,7 @@ def make_dataset(has_test=True, split="train"):
         X_full=X,
         y_full=y,
         length_full=lengths,
-        layout=ChannelLayout((Channel("d0", "data", 1),)),
+        layout=ChannelLayout((Channel("d0", "data"),)),
         stats=stats,
         split_of_index=codes,
         split=split,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_splits import choose
 
 from tsprep.splits import Xoshiro256StarStar, substream_seed
 from tsprep.tensor_core import ChannelStats, channel_stats
@@ -168,7 +169,7 @@ def reference_simulation(X, lengths, missing, seed):
         for ch, p in enumerate(props):
             k = int(np.floor(p * L + 0.5))
             cols = slice(1 + ch, 2 + ch) if per_channel else slice(1, None)
-            out[i, rng.choose(L, k), cols] = np.nan
+            out[i, choose(rng, L, k), cols] = np.nan
     return out
 
 
