@@ -64,8 +64,6 @@ def _check_replaceable(out_dir: Path) -> None:
     not write."""
     if not out_dir.exists():
         return
-    if not out_dir.is_dir():
-        raise ConfigError(f"{out_dir}: not a directory")
     names = {p.name for p in out_dir.iterdir()}
     foreign = sorted(names - _FILE_NAMES - {"manifest.json"})
     if names and (foreign or "manifest.json" not in names):

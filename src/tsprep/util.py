@@ -60,6 +60,8 @@ def staged_dir(final: Path) -> Iterator[Path]:
     directory is discarded and the other one's is kept.
     """
     final = Path(final)
+    if final.is_symlink():
+        final = final.resolve()  # replace the directory it names and keep the link
     final.parent.mkdir(parents=True, exist_ok=True)
     tmp = final.parent / f".{final.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
     tmp.mkdir()

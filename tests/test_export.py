@@ -137,6 +137,17 @@ def test_tsprep_directory_with_foreign_files_is_refused(tmp_path):
     assert verify_manifest_files(out) == []
 
 
+def test_out_dir_given_as_a_link_keeps_the_link(tmp_path):
+    real, link = tmp_path / "real", tmp_path / "link"
+    prepare(real, offset=OLD)
+    link.symlink_to(real, target_is_directory=True)
+    prepare(link)
+    assert link.is_symlink()
+    assert verify_manifest_files(real) == []
+    np.testing.assert_array_equal(read_tensor(real / "X_train.bin"), small_dataset().X_train)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+
 # ------------------------------------------------- concurrent writers
 # Two writers of one directory interleave at the renames that publish it,
 # exactly as in the cache's concurrent-writer tests: the other writer acts
