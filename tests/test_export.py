@@ -116,17 +116,6 @@ def test_export_in_place_replaces_the_prepared_directory(src):
     assert read_manifest(src)["exported_dtype"] == "f32"
 
 
-@pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_out_dir_without_manifest_is_refused(tmp_path, src, writer):
-    out = tmp_path / "mine"
-    out.mkdir()
-    (out / "notes.txt").write_text("keep me")
-    with pytest.raises(ConfigError, match="not a tsprep directory"):
-        WRITERS[writer](src, out)
-    assert [p.name for p in out.iterdir()] == ["notes.txt"]
-    assert (out / "notes.txt").read_text() == "keep me"
-
-
 def test_tsprep_directory_with_foreign_files_is_refused(tmp_path):
     out = tmp_path / "out"
     prepare(out, offset=OLD)
