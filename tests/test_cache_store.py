@@ -38,6 +38,13 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     assert meta["dataset_info"] == {"channels": ["a"]}
 
 
+def test_entry_holds_only_manifest_and_blobs(tmp_path):
+    X, y, length = sample_tensors()
+    save(tmp_path, "demo", X, y, length, OPTIONS)
+    names = sorted(p.name for p in entry_dir(tmp_path, "demo").iterdir())
+    assert names == ["X.bin", "length.bin", "manifest.json", "y.bin"]
+
+
 def test_absent_entry_is_a_distinct_miss(tmp_path):
     with pytest.raises(CacheAbsent):
         load(tmp_path, "nothing", OPTIONS)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -132,7 +133,9 @@ def test_out_at_foreign_directory_exits_2_and_keeps_its_files(
     out = tmp_path / "mine"
     out.mkdir()
     (out / "notes.txt").write_text("keep me")
+    cache = entry_dir(prepared_arrowhead, "uea_arrowhead")
     if command == "prepare":
+        shutil.rmtree(cache)
         argv = ["prepare", "ArrowHead", "--train-prop", 0.7, "--seed", 1,
                 "--path", prepared_arrowhead, "--out", out]
     else:
@@ -141,6 +144,8 @@ def test_out_at_foreign_directory_exits_2_and_keeps_its_files(
     assert "not a tsprep directory" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "keep me"
+    if command == "prepare":
+        assert not cache.exists(), "the out directory is checked before anything is built"
 
 
 def test_export_refuses_manifest_names_outside_the_directory(prepared_arrowhead, tmp_path, capsys):
@@ -155,6 +160,33 @@ def test_export_refuses_manifest_names_outside_the_directory(prepared_arrowhead,
     assert run(["export", prepared, "--out", out]) == 1
     assert "../escaped.bin" in capsys.readouterr().err
     assert not (out.parent / "escaped.bin").exists()
+    assert not out.exists()
+
+
+MANIFEST_DAMAGE = {
+    "entry_not_an_object": lambda files: files.__setitem__("X_train.bin", "abc"),
+    "files_empty": lambda files: files.clear(),
+    "entry_missing": lambda files: files.pop("X_val.bin"),
+    "sha256_null": lambda files: files["X_train.bin"].__setitem__("sha256", None),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "info", "export"])
+@pytest.mark.parametrize("damage", sorted(MANIFEST_DAMAGE))
+def test_malformed_files_map_exits_1(prepared_arrowhead, tmp_path, capsys, command, damage):
+    """The files map must name every blob of the directory, each with a
+    well-formed entry; anything else is an error, not a crash, a pass or a
+    partial export."""
+    prepared = prepared_dir(prepared_arrowhead)
+    path = prepared / "manifest.json"
+    manifest = json.loads(path.read_text())
+    MANIFEST_DAMAGE[damage](manifest["files"])
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [command, prepared] + (["--out", out] if command == "export" else [])
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

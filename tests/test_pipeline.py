@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -397,6 +398,42 @@ def test_damaged_cache_blob_rebuilds_same_bytes(arrowhead_root, copy_tree, caplo
     assert any("corrupt" in r.message and "X.bin" in r.message for r in caplog.records)
     assert second.X_full.tobytes() == first.X_full.tobytes()
     assert cache_store.verify(blob.parent) == []
+
+
+def _downgrade_to_format_1(entry):
+    """Rewrite a cache entry in the layout used before cache format 2:
+    ``meta.json`` plus an ``sha256sum``-style ``checksums.txt``."""
+    from tsprep.util import sha256_file
+
+    for name in ("manifest.json", "meta.json"):
+        if (entry / name).exists():
+            info = json.loads((entry / name).read_text())["dataset_info"]
+    (entry / "manifest.json").unlink(missing_ok=True)
+    meta = {
+        "format_version": 1,
+        "dataset": entry.name,
+        "created_utc": "2026-01-01T00:00:00+00:00",
+        "source_options": {"kind": "uea", "dataset": "ArrowHead"},
+        "dataset_info": info,
+    }
+    (entry / "meta.json").write_text(json.dumps(meta))
+    blobs = ("X.bin", "length.bin", "y.bin")
+    (entry / "checksums.txt").write_text(
+        "".join(f"{sha256_file(entry / name)}  {name}\n" for name in blobs)
+    )
+
+
+def test_format_1_cache_entry_is_rebuilt_to_the_same_bytes(arrowhead_root, copy_tree):
+    root = copy_tree(arrowhead_root)
+    first = build(arrowhead_config(root))
+    entry = entry_dir(root, "uea_arrowhead")
+    blobs = {name: (entry / name).read_bytes() for name in ("X.bin", "y.bin", "length.bin")}
+    _downgrade_to_format_1(entry)
+    second = build(arrowhead_config(root))
+    assert sorted(p.name for p in entry.iterdir()) == ["X.bin", "length.bin", "manifest.json", "y.bin"]
+    assert {name: (entry / name).read_bytes() for name in blobs} == blobs
+    assert second.X_full.tobytes() == first.X_full.tobytes()
+    assert cache_store.verify(entry) == []
 
 
 def test_written_digests_match_the_files(arrowhead_root, copy_tree, tmp_path, monkeypatch):
