@@ -3,7 +3,8 @@
 Subcommands: ``fetch`` (download raw sources), ``prepare`` (run the
 pipeline and write a prepared directory), ``export`` (convert a prepared
 directory, default f32), ``info`` (shapes, channels, missingness) and
-``validate`` (re-check SHA256 of a cache or export directory).
+``validate`` (re-check the SHA256 of every blob of a cache entry, prepared
+or export directory against its manifest).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 The cache root defaults to ``--path``, then ``TSPREP_CACHE``, then the
@@ -18,7 +19,7 @@ from pathlib import Path
 import tsprep
 from tsprep import cache_store, export, fetch
 from tsprep.pipeline import BuildError, ConfigError, PipelineConfig, build
-from tsprep.tensorfile import TensorFileError
+from tsprep.tensorfile import ManifestError, TensorFileError, verify_dir
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -145,8 +146,9 @@ def cmd_prepare(args) -> int:
         path=path,
         seed=args.seed,
     )
-    dataset = build(config, workers=args.workers)
     out_dir = Path(args.out) if args.out else Path(path) / ".torchtime" / "prepared" / config.key
+    export.check_replaceable(out_dir)  # fail before the build, not after it
+    dataset = build(config, workers=args.workers)
     manifest_path = export.write_prepared(dataset, config, out_dir)
     sizes = ", ".join(f"{s}={dataset.split_size(s)}" for s in dataset.splits)
     print(f"prepared {dataset.name}: {sizes}; channels={dataset.layout.n_channels}")
@@ -183,10 +185,7 @@ def cmd_info(args) -> int:
 
 def cmd_validate(args) -> int:
     entry = Path(args.entry)
-    if (entry / "checksums.txt").exists():
-        bad = cache_store.verify(entry)
-    else:
-        bad = export.verify_manifest_files(entry)
+    bad = verify_dir(entry)
     if bad:
         for name in bad:
             print(f"corrupt: {entry / name}", file=sys.stderr)
@@ -213,7 +212,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        BuildError, export.ManifestError, cache_store.CacheMiss, TensorFileError, OSError
+        BuildError, ManifestError, cache_store.CacheMiss, TensorFileError, OSError
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME

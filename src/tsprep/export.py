@@ -1,11 +1,11 @@
 """Prepared-dataset directories: per-split tensor files plus a manifest.
 
-``prepare`` writes full-precision (f64) blobs named
-``{X,y,length}_{train,val,test}.bin`` next to a canonical-JSON
-``manifest.json`` recording the configuration echo, seed, split sizes,
-channel layout and per-file SHA256. ``export`` converts a prepared
-directory to the requested element type (f32 by default; lengths stay
-i64).
+Prepared and export directories are tensor directories
+(:mod:`tsprep.tensorfile`). ``prepare`` writes full-precision (f64) blobs
+named ``{X,y,length}_<split>.bin`` for each split, and a ``manifest.json``
+whose ``files`` map sits beside the configuration echo, seed, split sizes
+and channel layout. ``export`` converts a prepared directory to the
+requested element type (f32 by default; lengths stay i64).
 
 Both writers stage the whole directory and publish it through
 :func:`tsprep.util.staged_dir`: a rerun replaces the directory, so no blob
@@ -16,26 +16,21 @@ Manifests may name only those blobs, so no read or write leaves the
 directory.
 """
 
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 import tsprep
+from tsprep import tensorfile
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Dataset
-from tsprep.tensorfile import read_tensor, write_tensor
-from tsprep.util import canonical_json, sha256_file, staged_dir
+from tsprep.tensorfile import MANIFEST_VERSION, file_entry, read_tensor, split_blobs, write_tensor
+from tsprep.tensorfile import verify_dir as verify_manifest_files  # the one verifier
+from tsprep.util import canonical_json, staged_dir
+from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
 
-MANIFEST_VERSION = 1
-_FILE_NAMES = frozenset(
-    f"{stem}_{split}.bin" for stem in ("X", "y", "length") for split in SPLIT_CODES
-)
-
-
-class ManifestError(ValueError):
-    """Missing or malformed manifest/export files."""
+_FILE_NAMES = split_blobs(SPLIT_CODES)
 
 
 def _config_echo(config: PipelineConfig) -> dict:
@@ -59,7 +54,7 @@ def _config_echo(config: PipelineConfig) -> dict:
     }
 
 
-def _check_replaceable(out_dir: Path) -> None:
+def check_replaceable(out_dir: Path) -> None:
     """Refuse an ``out_dir`` whose replacement would delete files tsprep did
     not write."""
     if not out_dir.exists():
@@ -77,18 +72,14 @@ def write_prepared(dataset: Dataset, config: PipelineConfig, out_dir: Path) -> P
     """Write every split of ``dataset`` at full precision plus the manifest,
     replacing ``out_dir`` whole; returns the manifest path."""
     out_dir = Path(out_dir)
-    _check_replaceable(out_dir)
+    check_replaceable(out_dir)
     with staged_dir(out_dir) as tmp:
         files: dict[str, dict] = {}
         for split in dataset.splits:
             X, y, length = dataset.tensors(split)
             for stem, array, code in (("X", X, "f64"), ("y", y, "f64"), ("length", length, "i64")):
                 name = f"{stem}_{split}.bin"
-                files[name] = {
-                    "sha256": write_tensor(tmp / name, array, code),
-                    "shape": list(array.shape),
-                    "dtype": code,
-                }
+                files[name] = file_entry(write_tensor(tmp / name, array, code), array, code)
         manifest = {
             "manifest_version": MANIFEST_VERSION,
             "tool": "tsprep",
@@ -108,28 +99,9 @@ def write_prepared(dataset: Dataset, config: PipelineConfig, out_dir: Path) -> P
 
 
 def read_manifest(directory: Path) -> dict:
-    """Parse ``manifest.json``; it may name only the blobs
-    ``{X,y,length}_{train,val,test}.bin`` and the splits train, val and
-    test."""
-    path = Path(directory) / "manifest.json"
-    if not path.exists():
-        raise ManifestError(f"{directory}: no manifest.json")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ManifestError(f"{path}: invalid JSON: {err}") from None
-    if manifest.get("manifest_version") != MANIFEST_VERSION:
-        raise ManifestError(f"{path}: unsupported manifest version")
-    files, sizes = manifest.get("files"), manifest.get("split_sizes")
-    if not isinstance(files, dict) or not isinstance(sizes, dict):
-        raise ManifestError(f"{path}: files and split_sizes must be objects")
-    unknown = sorted(set(files) - _FILE_NAMES) + sorted(set(sizes) - set(SPLIT_CODES))
-    if unknown:
-        raise ManifestError(
-            f"{path}: unknown file name or split {unknown[0]!r}; "
-            "files are {X,y,length}_{train,val,test}.bin"
-        )
-    return manifest
+    """Parse and check the manifest of a prepared or export directory (see
+    :func:`tsprep.tensorfile.read_manifest`)."""
+    return tensorfile.read_manifest(directory, "prepared")
 
 
 def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Path:
@@ -141,35 +113,18 @@ def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Pa
         raise ConfigError(f"export dtype must be f32 or f64, got {dtype!r}")
     prepared_dir, out_dir = Path(prepared_dir), Path(out_dir)
     manifest = read_manifest(prepared_dir)
-    _check_replaceable(out_dir)
+    check_replaceable(out_dir)
     with staged_dir(out_dir) as tmp:
         files: dict[str, dict] = {}
-        for name, entry in manifest["files"].items():
+        for name in manifest["files"]:
             array = read_tensor(prepared_dir / name)
             code = "i64" if name.startswith("length") else dtype
-            files[name] = {
-                "sha256": write_tensor(tmp / name, array, code),
-                "shape": entry["shape"],
-                "dtype": code,
-            }
-        manifest = dict(manifest)
+            files[name] = file_entry(write_tensor(tmp / name, array, code), array, code)
         manifest["files"] = files
         manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
         manifest["exported_dtype"] = dtype
         (tmp / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
     return out_dir / "manifest.json"
-
-
-def verify_manifest_files(directory: Path) -> list[str]:
-    """Names of manifest-listed files that are missing or fail their SHA256."""
-    directory = Path(directory)
-    manifest = read_manifest(directory)
-    bad = []
-    for name, entry in sorted(manifest["files"].items()):
-        target = directory / name
-        if not target.exists() or sha256_file(target) != entry["sha256"]:
-            bad.append(name)
-    return bad
 
 
 def missingness_rates(directory: Path) -> dict[str, dict[str, float]]:

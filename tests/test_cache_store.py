@@ -1,4 +1,5 @@
 import hashlib
+import json
 import multiprocessing
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsprep import cache_store
+from tsprep import cache_store, tensorfile
 from tsprep.cache_store import CacheAbsent, CacheCorrupt, CacheMiss, entry_dir, load, save
 from tsprep.tensorfile import HEADER_SIZE, MAGIC
 from tsprep.util import sha256_file
@@ -80,30 +81,34 @@ def test_missing_blob_is_corrupt(tmp_path):
         load(tmp_path, "demo", OPTIONS)
 
 
-def test_mangled_meta_is_corrupt(tmp_path):
+def read_manifest_json(root, key="demo"):
+    return json.loads((entry_dir(root, key) / "manifest.json").read_text())
+
+
+def test_mangled_manifest_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
     save(tmp_path, "demo", X, y, length, OPTIONS)
-    (entry_dir(tmp_path, "demo") / "meta.json").write_text("{not json")
-    with pytest.raises(CacheCorrupt, match="meta.json"):
+    (entry_dir(tmp_path, "demo") / "manifest.json").write_text("{not json")
+    with pytest.raises(CacheCorrupt, match="manifest.json"):
         load(tmp_path, "demo", OPTIONS)
 
 
-def test_checksum_file_format(tmp_path):
+def test_files_entries_are_well_formed(tmp_path):
     X, y, length = sample_tensors()
     save(tmp_path, "demo", X, y, length, OPTIONS)
-    lines = (entry_dir(tmp_path, "demo") / "checksums.txt").read_text().splitlines()
-    assert len(lines) == 3
-    for line in lines:
-        assert re.fullmatch(r"[0-9a-f]{64}  (X|y|length)\.bin", line)
+    files = read_manifest_json(tmp_path)["files"]
+    assert sorted(files) == ["X.bin", "length.bin", "y.bin"]
+    for name, array, code in (("X.bin", X, "f64"), ("y.bin", y, "f64"), ("length.bin", length, "i64")):
+        assert re.fullmatch(r"[0-9a-f]{64}", files[name]["sha256"])
+        assert files[name]["shape"] == list(array.shape)
+        assert files[name]["dtype"] == code
 
 
-def test_identical_data_identical_checksum_file(tmp_path):
+def test_identical_data_identical_files_map(tmp_path):
     X, y, length = sample_tensors()
     save(tmp_path, "one", X, y, length, OPTIONS)
     save(tmp_path, "two", X, y, length, OPTIONS)
-    a = (entry_dir(tmp_path, "one") / "checksums.txt").read_bytes()
-    b = (entry_dir(tmp_path, "two") / "checksums.txt").read_bytes()
-    assert a == b
+    assert read_manifest_json(tmp_path, "one")["files"] == read_manifest_json(tmp_path, "two")["files"]
 
 
 def test_resave_replaces_entry(tmp_path):
@@ -135,8 +140,8 @@ def test_interrupted_save_leaves_no_entry(tmp_path, monkeypatch):
 def test_wrong_format_version_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
     save(tmp_path, "demo", X, y, length, OPTIONS)
-    meta_path = entry_dir(tmp_path, "demo") / "meta.json"
-    meta_path.write_text(meta_path.read_text().replace('"format_version": 1', '"format_version": 99'))
+    path = entry_dir(tmp_path, "demo") / "manifest.json"
+    path.write_text(path.read_text().replace('"format_version": 2', '"format_version": 99'))
     with pytest.raises(CacheCorrupt, match="format"):
         load(tmp_path, "demo", OPTIONS)
 
@@ -197,12 +202,26 @@ def test_save_writes_checksums_of_written_bytes(tmp_path, monkeypatch):
         raise AssertionError(f"{path} was read back to hash it")
 
     monkeypatch.setattr(cache_store, "sha256_file", no_read_back)
+    monkeypatch.setattr(tensorfile, "sha256_file", no_read_back)
     save(tmp_path, "demo", X, y, length, OPTIONS)
     monkeypatch.undo()
     directory = entry_dir(tmp_path, "demo")
-    assert cache_store.read_checksums(directory) == {
+    files = read_manifest_json(tmp_path)["files"]
+    assert {name: entry["sha256"] for name, entry in files.items()} == {
         name: sha256_file(directory / name) for name in ("X.bin", "y.bin", "length.bin")
     }
+
+
+def test_stale_entry_reads_no_blob(tmp_path, monkeypatch):
+    """The manifest is checked before any blob is opened."""
+    X, y, length = sample_tensors()
+    save(tmp_path, "demo", X, y, length, OPTIONS)
+    real_read = cache_store.read_tensor
+    reads = []
+    monkeypatch.setattr(cache_store, "read_tensor", lambda *a: reads.append(a) or real_read(*a))
+    with pytest.raises(CacheMiss):
+        load(tmp_path, "demo", {"kind": "uea", "dataset": "Other"})
+    assert reads == []
 
 
 # ------------------------------------------------- concurrent writers

@@ -11,16 +11,10 @@ import numpy as np
 import pytest
 
 from tsprep import export
-from tsprep.export import (
-    ManifestError,
-    export_prepared,
-    read_manifest,
-    verify_manifest_files,
-    write_prepared,
-)
+from tsprep.export import export_prepared, read_manifest, verify_manifest_files, write_prepared
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import Channel, ChannelLayout, Dataset, channel_stats
-from tsprep.tensorfile import read_tensor
+from tsprep.tensorfile import ManifestError, read_tensor
 
 OLD, NEW = 5.0, 1.0  # value offsets of the directory replaced and of its replacement
 

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from tsprep import cache_store, export
+from tsprep import cache_store, export, tensorfile
 from tsprep.batching import batches
 from tsprep.cache_store import entry_dir
 from tsprep.physionet import PHYSIONET_2012_CHANNELS
@@ -447,6 +447,7 @@ def test_written_digests_match_the_files(arrowhead_root, copy_tree, tmp_path, mo
         raise AssertionError(f"{path} was read back to hash it")
 
     monkeypatch.setattr(export, "sha256_file", no_read_back)
+    monkeypatch.setattr(tensorfile, "sha256_file", no_read_back)
     export.write_prepared(ds, config, tmp_path / "prepared")
     export.export_prepared(tmp_path / "prepared", tmp_path / "exported", "f32")
     monkeypatch.undo()
