@@ -152,8 +152,8 @@ def read_manifest(directory: Path, kind: str | None = None) -> dict:
         raise ManifestError(f"{path}: not a {kind} manifest of {key} {version}")
     sizes = manifest.get("split_sizes", {})
     unknown = sorted(set(sizes) - set(SPLIT_CODES)) if isinstance(sizes, dict) else [sizes]
-    if unknown:
-        raise ManifestError(f"{path}: unknown split {unknown[0]!r}; splits are train, val, test")
+    if unknown or (kind == "prepared" and "train" not in sizes):
+        raise ManifestError(f"{path}: split_sizes must name train, and only train, val, test")
     expected = split_blobs(sizes) if kind == "prepared" else set(CACHE_BLOBS)
     files = manifest.get("files")
     if not isinstance(files, dict):

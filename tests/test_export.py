@@ -200,6 +200,17 @@ def test_manifest_file_name_outside_the_blob_set_is_rejected(src, name):
         read_manifest(src)
 
 
+def test_manifest_without_splits_is_rejected(src):
+    """With no splits the manifest would require no blobs at all."""
+
+    def drop_splits(manifest):
+        manifest["split_sizes"], manifest["files"] = {}, {}
+
+    _edit_manifest(src, drop_splits)
+    with pytest.raises(ManifestError, match="split"):
+        read_manifest(src)
+
+
 def test_manifest_split_name_outside_the_split_set_is_rejected(src):
     _edit_manifest(src, lambda m: m["split_sizes"].__setitem__("../escaped", 2))
     with pytest.raises(ManifestError, match="split"):
