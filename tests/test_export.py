@@ -2,6 +2,7 @@
 or racing writer never leaves a mix of old and new files, and manifest
 entries cannot name files outside their directory."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -10,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsprep import export
+from tsprep import export, tensorfile
 from tsprep.export import export_prepared, read_manifest, verify_manifest_files, write_prepared
 from tsprep.pipeline import ConfigError, PipelineConfig
-from tsprep.tensor_core import Channel, ChannelLayout, Dataset, channel_stats
-from tsprep.tensorfile import ManifestError, read_tensor
+from tsprep.tensor_core import SPLIT_CODES, Channel, ChannelLayout, Dataset, channel_stats
+from tsprep.tensorfile import DTYPE_OF_CODE, HEADER_SIZE, MAGIC, ManifestError, read_tensor
 
 OLD, NEW = 5.0, 1.0  # value offsets of the directory replaced and of its replacement
 
@@ -215,3 +216,117 @@ def test_manifest_split_name_outside_the_split_set_is_rejected(src):
     _edit_manifest(src, lambda m: m["split_sizes"].__setitem__("../escaped", 2))
     with pytest.raises(ManifestError, match="split"):
         read_manifest(src)
+
+
+# ------------------------------------------------- known answers
+# The writers must produce the bytes of writing each whole split array at
+# once, whatever the block size: less than one row, or a size that leaves a
+# partial last block (two rows of X per block, five train rows).
+
+S, C = 5, 3
+X_ROW_BYTES = S * C * 8
+BLOCK_SIZES = {"default": None, "under_one_row": 7, "partial_last_block": 2 * X_ROW_BYTES + 8}
+
+
+def uneven_dataset():
+    """Eleven rows of unequal length with NaN padding, missing values and
+    per-step targets; the splits interleave."""
+    rng = np.random.RandomState(3)
+    lengths = np.array([5, 2, 4, 1, 5, 3, 5, 2, 4, 5, 1], dtype=np.int64)
+    n = len(lengths)
+    X = np.full((n, S, C), np.nan)
+    y = np.full((n, S), np.nan)
+    for i, L in enumerate(lengths):
+        X[i, :L, 0] = np.arange(L)
+        X[i, :L, 1:] = rng.randn(L, C - 1) * 1e3
+        y[i, :L] = rng.randint(0, 2, L)
+    X[rng.rand(n, S, C) < 0.2] = np.nan
+    codes = np.array([0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 2], dtype=np.int8)
+    return Dataset(
+        X_full=X,
+        y_full=y,
+        length_full=lengths,
+        layout=ChannelLayout(
+            (Channel("time", "time"), Channel("d0", "data"), Channel("d1", "data"))
+        ),
+        stats=channel_stats(X[:, :, 1:], lengths),
+        split_of_index=codes,
+        split="train",
+        has_test=True,
+        name="Uneven",
+    )
+
+
+def _blob(array, code):
+    """Header plus payload of ``array`` written whole as ``code``."""
+    payload = np.ascontiguousarray(array.astype(DTYPE_OF_CODE[code]))
+    fields = " ".join([code, str(payload.ndim), *(str(d) for d in payload.shape)])
+    return (MAGIC + b" " + fields.encode("ascii")).ljust(HEADER_SIZE, b" ") + payload.tobytes()
+
+
+def _reference(dataset, dtype):
+    """Blob bytes and ``files`` map of every split array written whole."""
+    blobs, files = {}, {}
+    for split in dataset.splits:
+        rows = np.flatnonzero(dataset.split_of_index == SPLIT_CODES[split])
+        for stem, array, code in (
+            ("X", dataset.X_full, dtype),
+            ("y", dataset.y_full, dtype),
+            ("length", dataset.length_full, "i64"),
+        ):
+            name = f"{stem}_{split}.bin"
+            blobs[name] = _blob(array[rows], code)
+            files[name] = {
+                "sha256": hashlib.sha256(blobs[name]).hexdigest(),
+                "shape": list(array[rows].shape),
+                "dtype": code,
+            }
+    return blobs, files
+
+
+def _write_uneven(out):
+    config = PipelineConfig(dataset="Uneven", split="train", train_prop=0.5, val_prop=0.2, seed=1)
+    return write_prepared(uneven_dataset(), config, out)
+
+
+@pytest.mark.parametrize("block_bytes", list(BLOCK_SIZES.values()), ids=list(BLOCK_SIZES))
+@pytest.mark.parametrize("job", ["prepare", "export_f32", "export_f64", "export_f32_in_place"])
+def test_writers_equal_a_whole_array_reference(tmp_path, monkeypatch, job, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(tensorfile, "BLOCK_BYTES", block_bytes, raising=False)
+    src = tmp_path / "src"
+    _write_uneven(src)
+    dtype = "f64"
+    out = src
+    if job != "prepare":
+        dtype = job.split("_")[1]
+        out = src if job.endswith("in_place") else tmp_path / "out"
+        export_prepared(src, out, dtype)
+    blobs, files = _reference(uneven_dataset(), dtype)
+    assert read_manifest(out)["files"] == files
+    assert {p.name: p.read_bytes() for p in out.glob("*.bin")} == blobs
+
+
+def _missingness_reference(directory):
+    """Per-channel NaN rates of each split, each X blob read whole."""
+    manifest = read_manifest(directory)
+    rates = {}
+    for split in manifest["split_sizes"]:
+        X = read_tensor(directory / f"X_{split}.bin")
+        length = read_tensor(directory / f"length_{split}.bin")
+        valid = np.arange(X.shape[1])[None, :] < length[:, None]
+        rates[split] = {
+            name: float(np.isnan(X[:, :, c][valid]).mean()) if valid.any() else 0.0
+            for c, name in enumerate(manifest["channels"])
+        }
+    return rates
+
+
+@pytest.mark.parametrize("block_bytes", list(BLOCK_SIZES.values()), ids=list(BLOCK_SIZES))
+def test_missingness_rates_equal_a_whole_array_reference(tmp_path, monkeypatch, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(tensorfile, "BLOCK_BYTES", block_bytes, raising=False)
+    _write_uneven(tmp_path / "prepared")
+    want = _missingness_reference(tmp_path / "prepared")
+    assert any(0.0 < rate < 1.0 for split in want.values() for rate in split.values())
+    assert export.missingness_rates(tmp_path / "prepared") == want

@@ -1,10 +1,11 @@
+import itertools
 import json
 import logging
 
 import numpy as np
 import pytest
 
-from tsprep import cache_store, export, tensorfile
+from tsprep import cache_store, export, pipeline, tensorfile, transforms
 from tsprep.batching import batches
 from tsprep.cache_store import entry_dir
 from tsprep.physionet import PHYSIONET_2012_CHANNELS
@@ -467,3 +468,61 @@ def test_batches_gather_rows_without_copying_the_split(arrowhead_root, monkeypat
     assert np.concatenate([b.X for b in out]).tobytes() == X_val.tobytes()
     assert np.concatenate([b.y for b in out]).tobytes() == y_val.tobytes()
     assert np.concatenate([b.length for b in out]).tolist() == length_val.tolist()
+
+
+# ------------------------------------------------ step 4: channel assembly
+
+
+def _uneven_master(seed=5):
+    """(n, s, 1 + d) master with increasing stamps, missing values, unequal
+    lengths (one of a single step) and NaN padding."""
+    rng = np.random.RandomState(seed)
+    lengths = np.array([9, 4, 1, 7, 9, 2, 6], dtype=np.int64)
+    n, s, d = len(lengths), int(lengths.max()), 3
+    X = np.full((n, s, 1 + d), np.nan)
+    for i, L in enumerate(lengths):
+        X[i, :L, 0] = np.cumsum(rng.uniform(0.5, 2.0, L))
+        values = rng.randn(L, d)
+        values[rng.rand(L, d) < 0.35] = np.nan
+        X[i, :L, 1:] = values
+    return X, lengths
+
+
+def _assemble_reference(config, X, lengths, info):
+    """Step 4 as one concatenation of the public mask and delta transforms."""
+    d = X.shape[2] - 1
+    cover = list(range(0, d + 1)) if info["mask_covers_time"] else list(range(1, d + 1))
+    mask = transforms.observational_mask(X[:, :, cover], lengths)
+    blocks = [X[:, :, :1]] if config.time else []
+    blocks.append(X[:, :, 1:])
+    if config.mask:
+        blocks.append(mask)
+    if config.delta:
+        blocks.append(transforms.time_delta(X[:, :, 0], mask, lengths))
+    return np.concatenate(blocks, axis=2)
+
+
+@pytest.mark.parametrize("covers_time", [False, True], ids=["uea", "physionet"])
+@pytest.mark.parametrize(
+    "time, mask, delta",
+    list(itertools.product([False, True], repeat=3)),
+    ids=lambda flag: "on" if flag else "off",
+)
+def test_assemble_channels_equals_a_concatenate_reference(time, mask, delta, covers_time):
+    X, lengths = _uneven_master()
+    master = X.copy()
+    info = {"time_channel": "t", "channels": ["a", "b", "c"], "mask_covers_time": covers_time}
+    config = PipelineConfig(
+        dataset="Demo", split="train", train_prop=0.7, time=time, mask=mask, delta=delta
+    )
+    out, layout = pipeline._assemble_channels(config, X, lengths, info)
+    want = _assemble_reference(config, X, lengths, info)
+    assert (out.shape, out.dtype, out.flags.c_contiguous) == (want.shape, want.dtype, True)
+    assert out.tobytes() == want.tobytes()
+    assert X.tobytes() == master.tobytes()  # the master is read, never written
+    cover = (["t"] if covers_time else []) + ["a", "b", "c"]
+    names = (["t"] if time else []) + ["a", "b", "c"]
+    names += [f"mask_{c}" for c in cover] if mask else []
+    names += [f"delta_{c}" for c in cover] if delta else []
+    assert layout.names == tuple(names)
+    assert layout.n_channels == out.shape[2]
