@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from tsprep.export import export_prepared, read_manifest, verify_manifest_files,
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Channel, ChannelLayout, Dataset, channel_stats
 from tsprep.tensorfile import DTYPE_OF_CODE, HEADER_SIZE, MAGIC, ManifestError, read_tensor
+from tsprep.util import staged_dir
 
 OLD, NEW = 5.0, 1.0  # value offsets of the directory replaced and of its replacement
 
@@ -330,3 +333,26 @@ def test_missingness_rates_equal_a_whole_array_reference(tmp_path, monkeypatch, 
     want = _missingness_reference(tmp_path / "prepared")
     assert any(0.0 < rate < 1.0 for split in want.values() for rate in split.values())
     assert export.missingness_rates(tmp_path / "prepared") == want
+
+
+# ------------------------------------------------- dead staging directories
+# A writer killed before its rename leaves its staging directory
+# ``.<name>.tmp-<pid>-<hex>`` beside the target; the next publish of that
+# target removes those of exited processes and keeps those of live ones.
+
+
+def test_publish_sweeps_staging_directories_of_exited_writers(tmp_path):
+    exited = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                            stdout=subprocess.PIPE, text=True, check=True)
+    dead_pid = int(exited.stdout)
+    dead = tmp_path / f".out.tmp-{dead_pid}-0badc0de"
+    live = tmp_path / f".out.tmp-{os.getpid()}-0badc0de"
+    other_target = tmp_path / f".other.tmp-{dead_pid}-0badc0de"
+    for stale in (dead, live, other_target):
+        stale.mkdir()
+        (stale / "X_train.bin").write_bytes(b"partial")
+    with staged_dir(tmp_path / "out") as tmp:
+        (tmp / "manifest.json").write_text("{}")
+    assert not dead.exists()
+    assert live.is_dir() and other_target.is_dir()
+    assert (tmp_path / "out" / "manifest.json").is_file()

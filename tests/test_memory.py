@@ -1,0 +1,95 @@
+"""Bounded memory: step 4 allocates its output once, and the writers stream
+row blocks instead of copying whole splits.
+
+Peaks are measured with ``tracemalloc``, which numpy reports its buffers
+to; arrays that exist before a measurement starts are not counted.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tsprep import export, pipeline
+from tsprep.pipeline import PipelineConfig
+from tsprep.tensor_core import Channel, ChannelLayout, Dataset, channel_stats
+
+
+def traced_peak(call):
+    """Peak bytes allocated while ``call`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def large_dataset():
+    """400 rows of (100, 50) f64: 16 MB in all, 11.2 MB in the train split."""
+    rng = np.random.RandomState(0)
+    n, s, c = 400, 100, 50
+    lengths = rng.randint(1, s + 1, n).astype(np.int64)
+    X = rng.randn(n, s, c)
+    X[np.arange(s)[None, :] >= lengths[:, None]] = np.nan
+    codes = np.repeat(np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 2], dtype=np.int8), n // 10)
+    return Dataset(
+        X_full=X,
+        y_full=rng.randint(0, 2, (n, 1)).astype(np.float64),
+        length_full=lengths,
+        layout=ChannelLayout(tuple(Channel(f"d{i}", "data") for i in range(c))),
+        stats=channel_stats(X, lengths),
+        split_of_index=rng.permutation(codes),
+        split="train",
+        has_test=True,
+        name="Large",
+    )
+
+
+CONFIG = PipelineConfig(dataset="Large", split="train", train_prop=0.7, val_prop=0.2, seed=1)
+
+
+def largest_blob(directory):
+    return max(p.stat().st_size for p in directory.glob("*.bin"))
+
+
+def test_write_prepared_peak_is_under_a_quarter_of_the_largest_blob(tmp_path):
+    dataset = large_dataset()
+    peak, _ = traced_peak(lambda: export.write_prepared(dataset, CONFIG, tmp_path / "prepared"))
+    assert peak < largest_blob(tmp_path / "prepared") / 4
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_export_peak_is_under_a_quarter_of_the_largest_blob(tmp_path, dtype):
+    export.write_prepared(large_dataset(), CONFIG, tmp_path / "prepared")
+    peak, _ = traced_peak(
+        lambda: export.export_prepared(tmp_path / "prepared", tmp_path / "out", dtype)
+    )
+    assert peak < largest_blob(tmp_path / "prepared") / 4
+
+
+def test_write_prepared_never_copies_a_whole_split(tmp_path, monkeypatch):
+    dataset = large_dataset()
+
+    def no_split_copy(self, split):
+        raise AssertionError("write_prepared copied a whole split")
+
+    monkeypatch.setattr(Dataset, "tensors", no_split_copy)
+    export.write_prepared(dataset, CONFIG, tmp_path / "prepared")
+    assert export.verify_manifest_files(tmp_path / "prepared") == []
+
+
+@pytest.mark.parametrize("covers_time", [False, True], ids=["uea", "physionet"])
+def test_assemble_channels_peak_is_its_output(covers_time):
+    rng = np.random.RandomState(1)
+    n, s, d = 200, 100, 10
+    lengths = rng.randint(1, s + 1, n).astype(np.int64)
+    X = rng.randn(n, s, 1 + d)
+    X[rng.rand(n, s, 1 + d) < 0.3] = np.nan
+    X[:, :, 0] = np.arange(s)
+    X[np.arange(s)[None, :] >= lengths[:, None]] = np.nan
+    info = {"time_channel": "t", "channels": [f"c{i}" for i in range(d)], "mask_covers_time": covers_time}
+    config = PipelineConfig(dataset="Demo", split="train", train_prop=0.7, mask=True, delta=True)
+    peak, (out, _) = traced_peak(lambda: pipeline._assemble_channels(config, X, lengths, info))
+    assert peak <= 1.1 * out.nbytes
