@@ -25,7 +25,8 @@ import tsprep
 from tsprep import tensorfile
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Dataset
-from tsprep.tensorfile import MANIFEST_VERSION, file_entry, read_tensor, split_blobs, write_tensor
+from tsprep.tensorfile import MANIFEST_VERSION, Rows, TensorFile, file_entry, read_tensor, split_blobs
+from tsprep.tensorfile import write_tensor
 from tsprep.tensorfile import verify_dir as verify_manifest_files  # the one verifier
 from tsprep.util import canonical_json, staged_dir
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
@@ -70,16 +71,18 @@ def check_replaceable(out_dir: Path) -> None:
 
 def write_prepared(dataset: Dataset, config: PipelineConfig, out_dir: Path) -> Path:
     """Write every split of ``dataset`` at full precision plus the manifest,
-    replacing ``out_dir`` whole; returns the manifest path."""
+    replacing ``out_dir`` whole; returns the manifest path. Each split is
+    streamed from the ``_full`` arrays by its rows, never copied whole."""
     out_dir = Path(out_dir)
     check_replaceable(out_dir)
     with staged_dir(out_dir) as tmp:
         files: dict[str, dict] = {}
         for split in dataset.splits:
-            X, y, length = dataset.tensors(split)
-            for stem, array, code in (("X", X, "f64"), ("y", y, "f64"), ("length", length, "i64")):
+            rows = dataset.split_rows(split)
+            for stem, code in (("X", "f64"), ("y", "f64"), ("length", "i64")):
                 name = f"{stem}_{split}.bin"
-                files[name] = file_entry(write_tensor(tmp / name, array, code), array, code)
+                source = Rows(getattr(dataset, f"{stem}_full"), rows)
+                files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
         manifest = {
             "manifest_version": MANIFEST_VERSION,
             "tool": "tsprep",
@@ -107,7 +110,8 @@ def read_manifest(directory: Path) -> dict:
 def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Path:
     """Convert a prepared directory to ``dtype`` (applies to X and y; length
     files are always i64) with a refreshed manifest, replacing ``out_dir``
-    whole. Every read happens before the publish, so ``out_dir`` may be
+    whole. Each blob is read, converted and written one row block at a time.
+    Every read happens before the publish, so ``out_dir`` may be
     ``prepared_dir`` itself."""
     if dtype not in ("f32", "f64"):
         raise ConfigError(f"export dtype must be f32 or f64, got {dtype!r}")
@@ -117,9 +121,9 @@ def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Pa
     with staged_dir(out_dir) as tmp:
         files: dict[str, dict] = {}
         for name in manifest["files"]:
-            array = read_tensor(prepared_dir / name)
+            source = TensorFile(prepared_dir / name)
             code = "i64" if name.startswith("length") else dtype
-            files[name] = file_entry(write_tensor(tmp / name, array, code), array, code)
+            files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
         manifest["files"] = files
         manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
         manifest["exported_dtype"] = dtype
@@ -128,17 +132,23 @@ def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Pa
 
 
 def missingness_rates(directory: Path) -> dict[str, dict[str, float]]:
-    """Per-channel NaN rate inside the valid (unpadded) region, per split."""
+    """Per-channel NaN rate inside the valid (unpadded) region, per split;
+    each ``X`` blob is read one row block at a time."""
     manifest = read_manifest(directory)
-    channels = manifest["channels"]
     rates: dict[str, dict[str, float]] = {}
     for split in manifest["split_sizes"]:
-        X = read_tensor(Path(directory) / f"X_{split}.bin")
+        X = TensorFile(Path(directory) / f"X_{split}.bin")
         length = read_tensor(Path(directory) / f"length_{split}.bin")
-        valid = np.arange(X.shape[1])[None, :] < length[:, None]
-        nan_count = np.zeros(X.shape[2])
-        for c in range(X.shape[2]):
-            nan_count[c] = np.isnan(X[:, :, c][valid]).mean() if valid.any() else 0.0
-        rates[split] = {name: float(nan_count[i]) for i, name in enumerate(channels)}
+        steps = np.arange(X.shape[1])
+        nan_count, valid_count, start = np.zeros(X.shape[2], dtype=np.int64), 0, 0
+        for block in X.blocks():
+            valid = steps[None, :] < length[start : start + len(block), None]
+            nan_count += (np.isnan(block) & valid[:, :, None]).sum(axis=(0, 1))
+            valid_count += int(valid.sum())
+            start += len(block)
+        rates[split] = {
+            name: float(nan_count[i] / valid_count) if valid_count else 0.0
+            for i, name in enumerate(manifest["channels"])
+        }
     return rates
 

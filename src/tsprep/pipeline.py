@@ -328,6 +328,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
 
     with _step(4, "append time/mask/delta channels"):
         X_out, layout = _assemble_channels(config, X, lengths, info)
+    del X  # the master: from here on only the assembled output is held
 
     with _step(5, "stratified split"):
         assignment = stratified_split(_strata(config, y), config.split_spec())
@@ -393,27 +394,34 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
 def _assemble_channels(
     config: PipelineConfig, X: np.ndarray, lengths: np.ndarray, info: dict
 ) -> tuple[np.ndarray, ChannelLayout]:
-    d = X.shape[2] - 1
+    """Step 4: the output is allocated once, and the time stamp, data, mask
+    and delta blocks are written into their channel slices of it."""
+    n, s, c = X.shape
     time_name = info["time_channel"]
     data_names = list(info["channels"])
-    cover = list(range(0, d + 1)) if info["mask_covers_time"] else list(range(1, d + 1))
+    cover = slice(0, c) if info["mask_covers_time"] else slice(1, c)
     cover_names = ([time_name] + data_names) if info["mask_covers_time"] else data_names
 
-    blocks = []
     channels: list[Channel] = []
     if config.time:
-        blocks.append(X[:, :, :1])
         channels.append(Channel(name=time_name, kind=TIME))
-    blocks.append(X[:, :, 1:])
     channels.extend(Channel(name=name, kind=DATA) for name in data_names)
-    mask = None
-    if config.mask or config.delta:
-        mask = transforms.observational_mask(X[:, :, cover], lengths)
     if config.mask:
-        blocks.append(mask)
         channels.extend(Channel(name=f"mask_{name}", kind=MASK) for name in cover_names)
     if config.delta:
-        delta = transforms.time_delta(X[:, :, 0], mask, lengths)
-        blocks.append(delta)
         channels.extend(Channel(name=f"delta_{name}", kind=DELTA) for name in cover_names)
-    return np.concatenate(blocks, axis=2), ChannelLayout(channels=tuple(channels))
+    layout = ChannelLayout(channels=tuple(channels))
+
+    m = len(cover_names)
+    out = np.empty((n, s, layout.n_channels))
+    first = 0 if config.time else 1
+    col = c - first
+    out[:, :, :col] = X[:, :, first:]
+    if config.mask:
+        mask = transforms.observational_mask(X[:, :, cover], lengths, out=out[:, :, col : col + m])
+        col += m
+    elif config.delta:
+        mask = ~np.isnan(X[:, :, cover])  # time_delta reads only valid steps
+    if config.delta:
+        transforms.time_delta(X[:, :, 0], mask, lengths, out=out[:, :, col : col + m])
+    return out, layout

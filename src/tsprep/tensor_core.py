@@ -7,10 +7,14 @@ length[i]`` (padding), and NaN inside the valid region means a missing
 observation. All transforms preserve that invariant.
 
 The array is large and memory traffic dominates its cost, so the pipeline
-avoids whole-array copies: channel blocks are contiguous (``data_slice`` is a
-view), ``standardise_in_place`` overwrites the array the pipeline owns, and
-``Dataset.split_rows`` lets consumers gather rows without copying a split.
-The public ``standardise`` copies first and leaves its input untouched.
+avoids whole-array copies: step 4 fills one preallocated output, channel
+blocks are contiguous (``data_slice`` is a view), ``standardise_in_place``
+overwrites the array the pipeline owns, and ``Dataset.split_rows`` lets
+consumers gather rows without copying a split. The writers
+(:mod:`tsprep.export`) and ``batching.batches`` gather by ``split_rows`` one
+block or batch at a time, so their peak is the padded output plus a block.
+``Dataset.tensors`` and the split accessors copy a whole split, and the
+public ``standardise`` copies first and leaves its input untouched.
 """
 
 from collections import Counter
@@ -101,6 +105,7 @@ class Dataset:
     ``X``, ``y`` and ``length`` return the split selected at build time;
     the ``_train``/``_val``/``_test`` accessors are always available
     (requesting a test split that was never created raises ``ValueError``).
+    Every accessor copies the split's rows out of the ``_full`` arrays.
     Instances are treated as immutable once built.
     """
 
@@ -128,7 +133,8 @@ class Dataset:
         return array[self.split_rows(split)]
 
     def tensors(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, y, length) for one split."""
+        """(X, y, length) for one split, each a copy of its rows; code that
+        can work a block at a time gathers by :meth:`split_rows` instead."""
         return (
             self._select(self.X_full, split),
             self._select(self.y_full, split),
@@ -164,7 +170,10 @@ def _split_accessor(stem: str, split: str) -> property:
     def get(self: Dataset) -> np.ndarray:
         return self._select(getattr(self, f"{stem}_full"), split)
 
-    get.__doc__ = f"``{stem}`` for the {split} split (a copy of its rows)."
+    get.__doc__ = (
+        f"``{stem}`` for the {split} split: a copy of its rows "
+        "(:meth:`Dataset.split_rows` gathers them without one)."
+    )
     return property(get)
 
 

@@ -8,6 +8,11 @@ One array per file, parseable from any language without libraries:
   fixed 96-byte header
 * bytes 96+: the array payload, row-major (C order), little-endian
 
+:func:`write_tensor` is the one writer: it takes an array, the rows of one
+(:class:`Rows`) or another tensor file (:class:`TensorFile`) and writes,
+converts and hashes the payload one row block of :data:`BLOCK_BYTES` at a
+time, so no second copy of a payload is ever held.
+
 Every directory tsprep writes (cache entries, prepared directories and
 exports) holds such files plus a ``manifest.json`` whose ``files`` map gives
 each blob ``{sha256, shape, dtype}``; see :func:`read_manifest`.
@@ -27,6 +32,7 @@ from tsprep.util import sha256_file
 
 MAGIC = b"TSPREP\x01"
 HEADER_SIZE = 96
+BLOCK_BYTES = 1 << 20  # bytes per row block that the writer and block reader hold
 
 DTYPE_OF_CODE = {"f32": "<f4", "f64": "<f8", "i64": "<i8"}
 CODE_OF_KIND = {("f", 4): "f32", ("f", 8): "f64", ("i", 8): "i64"}
@@ -54,32 +60,114 @@ def code_for(array: np.ndarray) -> str:
         raise TensorFileError(f"unsupported dtype {array.dtype}") from None
 
 
-def write_tensor(path: Path, array: np.ndarray, code: str | None = None) -> str:
-    """Write one array; ``code`` converts on the way out (e.g. f64 -> f32).
-
-    Returns the SHA256 hex digest of the file, computed from the header and
-    payload bytes in memory, so the file is never read back.
-    """
-    if code is None:
-        code = code_for(array)
-    if code not in DTYPE_OF_CODE:
-        raise TensorFileError(f"unknown element type code {code!r}")
-    payload = np.ascontiguousarray(array.astype(DTYPE_OF_CODE[code], copy=False))
-    fields = " ".join([code, str(payload.ndim), *(str(d) for d in payload.shape)])
+def _header(code: str, shape: tuple[int, ...]) -> bytes:
+    fields = " ".join([code, str(len(shape)), *(str(d) for d in shape)])
     header = MAGIC + b" " + fields.encode("ascii")
     if len(header) > HEADER_SIZE:
         raise TensorFileError("tensor rank too large for the fixed header")
-    header = header.ljust(HEADER_SIZE, b" ")
-    data = memoryview(payload.reshape(-1).view(np.uint8))
+    return header.ljust(HEADER_SIZE, b" ")
+
+
+def _block_rows(shape: tuple[int, ...], itemsize: int) -> int:
+    """Rows per block: as many as fit in :data:`BLOCK_BYTES`, at least one."""
+    return max(1, BLOCK_BYTES // max(1, math.prod(shape[1:]) * itemsize))
+
+
+class Rows:
+    """The rows ``array[index]`` (every row when ``index`` is None), which
+    :func:`write_tensor` gathers one block at a time instead of whole."""
+
+    def __init__(self, array: np.ndarray, index=None) -> None:
+        self.array = np.atleast_1d(np.asarray(array))
+        n = len(self.array)
+        if index is not None:
+            index = np.asarray(index)
+            if index.dtype.kind not in "iu" or index.ndim != 1:
+                raise TypeError("row index must be a 1-D array of integer positions")
+            if index.size and not (-n <= index.min() and index.max() < n):
+                raise IndexError(f"row index out of range for {n} rows")
+        self.index = index
+        self.dtype = self.array.dtype
+        self.shape = (n if index is None else len(index),) + self.array.shape[1:]
+
+    def blocks(self, itemsize: int = 0):
+        """Yield C-contiguous row blocks of at most :data:`BLOCK_BYTES` (at
+        ``max(itemsize, dtype.itemsize)`` bytes per element); gathered
+        blocks share one buffer, so each is valid until the next."""
+        n, step = self.shape[0], _block_rows(self.shape, max(itemsize, self.dtype.itemsize))
+        buffer = None
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            if self.index is None:
+                yield np.ascontiguousarray(self.array[start:stop])
+                continue
+            if buffer is None:
+                buffer = np.empty((min(step, n),) + self.shape[1:], self.dtype)
+            # indices are checked above; "wrap" keeps np.take from buffering
+            yield np.take(self.array, self.index[start:stop], axis=0,
+                          out=buffer[: stop - start], mode="wrap")
+
+
+class TensorFile:
+    """A tensor file read in row blocks, for payloads too large to hold
+    twice; the header is checked against the file size when opened."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
+        with open(self.path, "rb") as f:
+            _, self.dtype, self.shape = _read_header(self.path, f)
+
+    def blocks(self, itemsize: int = 0):
+        """Yield the payload in row blocks, as :meth:`Rows.blocks` does, read
+        with ``readinto`` into one reused buffer."""
+        n, step = self.shape[0], _block_rows(self.shape, max(itemsize, self.dtype.itemsize))
+        buffer = np.empty((min(step, n),) + self.shape[1:], self.dtype)
+        with open(self.path, "rb") as f:
+            f.seek(HEADER_SIZE)
+            for start in range(0, n, step):
+                block = buffer[: min(step, n - start)]
+                got = f.readinto(memoryview(block.reshape(-1).view(np.uint8)))
+                if got != block.nbytes:
+                    raise TensorFileError(f"{self.path}: payload ends early")
+                yield block
+
+
+def write_tensor(path: Path, array, code: str | None = None) -> str:
+    """Write an array, the rows of a :class:`Rows` or the tensor of a
+    :class:`TensorFile`; ``code`` converts on the way out (e.g. f64 -> f32).
+
+    The one writer: the payload goes out one row block at a time, converted
+    into a reused buffer where ``code`` differs, so memory beyond the source
+    stays within two blocks. Returns the SHA256 hex digest of the file, fed
+    with each block as written, so the file is never read back.
+    """
+    source = array if isinstance(array, (Rows, TensorFile)) else Rows(array)
+    if code is None:
+        code = code_for(source)
+    if code not in DTYPE_OF_CODE:
+        raise TensorFileError(f"unknown element type code {code!r}")
+    dtype = np.dtype(DTYPE_OF_CODE[code])
+    header = _header(code, source.shape)
     digest = hashlib.sha256(header)
-    digest.update(data)
+    converted = None
     with open(path, "wb") as f:
         f.write(header)
-        f.write(data)
+        for block in source.blocks(dtype.itemsize):
+            if block.dtype != dtype:
+                if converted is None:
+                    converted = np.empty(block.shape, dtype)
+                np.copyto(converted[: len(block)], block, casting="unsafe")
+                block = converted[: len(block)]
+            data = memoryview(block.reshape(-1).view(np.uint8))
+            digest.update(data)
+            f.write(data)
     return digest.hexdigest()
 
 
-def _parse_header(path: Path, header: bytes) -> tuple[np.dtype, tuple[int, ...]]:
+def _read_header(path: Path, f) -> tuple[bytes, np.dtype, tuple[int, ...]]:
+    """Read and parse the header of the open file ``f``; checks that the
+    payload size matches it."""
+    header = f.read(HEADER_SIZE)
     if len(header) < HEADER_SIZE or not header.startswith(MAGIC):
         raise TensorFileError(f"{path}: not a tensor file")
     try:
@@ -91,7 +179,11 @@ def _parse_header(path: Path, header: bytes) -> tuple[np.dtype, tuple[int, ...]]
         raise TensorFileError(f"{path}: malformed header") from None
     if len(shape) != rank or any(d < 0 for d in shape):
         raise TensorFileError(f"{path}: malformed header")
-    return dtype, shape
+    expected = math.prod(shape) * dtype.itemsize
+    size = os.fstat(f.fileno()).st_size - HEADER_SIZE
+    if size != expected:
+        raise TensorFileError(f"{path}: payload is {size} bytes, expected {expected}")
+    return header, dtype, shape
 
 
 def read_tensor(path: Path, digest=None) -> np.ndarray:
@@ -102,16 +194,11 @@ def read_tensor(path: Path, digest=None) -> np.ndarray:
     a second time.
     """
     with open(path, "rb") as f:
-        header = f.read(HEADER_SIZE)
-        dtype, shape = _parse_header(path, header)
-        expected = math.prod(shape) * dtype.itemsize
-        size = os.fstat(f.fileno()).st_size - HEADER_SIZE
-        if size != expected:
-            raise TensorFileError(f"{path}: payload is {size} bytes, expected {expected}")
-        buffer = bytearray(expected)
+        header, dtype, shape = _read_header(path, f)
+        buffer = bytearray(math.prod(shape) * dtype.itemsize)
         got = f.readinto(buffer)
-    if got != expected:
-        raise TensorFileError(f"{path}: payload is {got} bytes, expected {expected}")
+    if got != len(buffer):
+        raise TensorFileError(f"{path}: payload is {got} bytes, expected {len(buffer)}")
     if digest is not None:
         digest.update(header)
         digest.update(buffer)

@@ -95,28 +95,47 @@ def simulate_missing(
     return out
 
 
-def observational_mask(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def observational_mask(
+    X: np.ndarray, lengths: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Mask channels for a block of source channels: 1.0 where a value was
-    recorded, 0.0 where missing, NaN in the padding region."""
-    mask = np.where(np.isnan(X), 0.0, 1.0)
+    recorded, 0.0 where missing, NaN in the padding region.
+
+    ``out``, an array of ``X``'s shape (such as a channel slice of a larger
+    output), receives the mask in place of a new array.
+    """
+    if out is None:
+        out = np.empty(np.shape(X))
+    elif out.shape != np.shape(X):
+        raise ValueError(f"out has shape {out.shape}, expected {np.shape(X)}")
+    np.isnan(X, out=out)  # 1.0 where missing
+    np.subtract(1.0, out, out=out)
     for i, L in enumerate(lengths):
-        mask[i, int(L):, :] = np.nan
-    return mask
+        out[i, int(L):, :] = np.nan
+    return out
 
 
-def time_delta(times: np.ndarray, mask: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def time_delta(
+    times: np.ndarray, mask: np.ndarray, lengths: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Time since each channel was last observed.
 
     ``times`` is the ``(n, s)`` stamp array and ``mask`` the ``(n, s, m)``
-    observational mask. Row 0 is zero by definition; a missing step
-    accumulates: delta[t] = times[t] - times[last step < t with mask 1],
-    falling back to times[0] when the channel has not been observed yet.
-    Padding stays NaN.
+    observational mask (or any array that is 1 or True where observed).
+    Row 0 is zero by definition; a missing step accumulates: delta[t] =
+    times[t] - times[last step < t with mask 1], falling back to times[0]
+    when the channel has not been observed yet. Padding stays NaN. ``out``,
+    an array of ``mask``'s shape, receives the deltas in place of a new
+    array.
     """
     n, s, m = mask.shape
-    delta = np.full((n, s, m), np.nan)
+    if out is None:
+        out = np.empty((n, s, m))
+    elif out.shape != mask.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {mask.shape}")
     for i in range(n):
         L = int(lengths[i])
+        out[i, L:, :] = np.nan
         if L == 0:
             continue
         t = times[i, :L]
@@ -128,9 +147,9 @@ def time_delta(times: np.ndarray, mask: np.ndarray, lengths: np.ndarray) -> np.n
         last = np.maximum.accumulate(np.where(observed, steps, -1), axis=0)
         prev = np.vstack([np.full((1, m), -1), last[:-1]])  # strictly before t
         prev_time = np.where(prev >= 0, t[np.clip(prev, 0, None)], t[0])
-        delta[i, :L, :] = t[:, None] - prev_time
-        delta[i, 0, :] = 0.0
-    return delta
+        out[i, :L, :] = t[:, None] - prev_time
+        out[i, 0, :] = 0.0
+    return out
 
 
 def build_fill(

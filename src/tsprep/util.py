@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import uuid
 from contextlib import contextmanager
@@ -44,6 +45,27 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _pid_alive(pid: int) -> bool:
+    if os.name == "nt":
+        return True  # os.kill there terminates the process: never sweep
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):  # not ours to signal, or not a pid
+        return True
+    return True
+
+
+def _sweep_dead_staging(final: Path) -> None:
+    """Remove the temp directories of ``final`` left by exited writers."""
+    staging = re.compile(rf"\.{re.escape(final.name)}\.tmp-(\d+)-[0-9a-f]{{8}}")
+    for path in final.parent.iterdir():
+        match = staging.fullmatch(path.name)
+        if match and not _pid_alive(int(match.group(1))):
+            shutil.rmtree(path, ignore_errors=True)
+
+
 @contextmanager
 def staged_dir(final: Path) -> Iterator[Path]:
     """Yield a new, empty temp directory beside ``final``; when the block
@@ -54,6 +76,11 @@ def staged_dir(final: Path) -> Iterator[Path]:
     and ``final`` is left as it was. An existing ``final`` is moved aside,
     the temp directory is renamed into place and the old one is deleted.
 
+    A writer that is killed leaves its temp directory
+    ``.<name>.tmp-<pid>-<hex>`` behind; each call removes those of
+    ``final`` whose pid is no longer alive on this host. Pids are local, so
+    writers on other hosts must not share ``final``'s parent directory.
+
     Concurrent writers of one ``final`` do not fail. If another writer moved
     the old directory aside first, there is nothing left to move. If another
     writer's directory is renamed into place first, this writer's temp
@@ -63,6 +90,7 @@ def staged_dir(final: Path) -> Iterator[Path]:
     if final.is_symlink():
         final = final.resolve()  # replace the directory it names and keep the link
     final.parent.mkdir(parents=True, exist_ok=True)
+    _sweep_dead_staging(final)
     tmp = final.parent / f".{final.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
     tmp.mkdir()
     try:
