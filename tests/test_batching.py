@@ -181,3 +181,32 @@ def test_per_step_y_is_packed():
     packed = pack(batch)
     assert packed.y_per_step
     assert packed.y.shape == (int(batch.length.sum()),)
+
+
+def _pack_reference(batch, per_step_y):
+    """pack as a loop over time steps of the length-sorted batch."""
+    order = np.argsort(-batch.length, kind="stable")
+    X, y, lengths = batch.X[order], batch.y[order], batch.length[order]
+    sizes = [int((lengths > t).sum()) for t in range(int(lengths[0]))]
+    values = np.concatenate([X[:b, t, :] for t, b in enumerate(sizes)], axis=0)
+    if per_step_y:
+        y = np.concatenate([y[:b, t] for t, b in enumerate(sizes)], axis=0)
+    return sizes, values, y, order
+
+
+@pytest.mark.parametrize("per_step_y", [False, True])
+def test_pack_equals_a_per_step_reference(per_step_y):
+    rng = np.random.RandomState(29)
+    for _ in range(100):
+        batch = random_batch(rng, per_step_y=per_step_y)
+        if rng.rand() < 0.5:  # steps beyond the longest sequence, as in a split's batch
+            pad = np.full((batch.n, rng.randint(1, 4)), np.nan)
+            batch.X = np.concatenate([batch.X, np.repeat(pad[:, :, None], batch.X.shape[2], 2)], 1)
+            batch.y = np.concatenate([batch.y, pad], 1) if per_step_y else batch.y
+        packed = pack(batch, per_step_y=per_step_y)
+        sizes, values, y, order = _pack_reference(batch, per_step_y)
+        assert packed.batch_sizes.dtype == np.int64 and packed.batch_sizes.tolist() == sizes
+        assert (packed.values.shape, packed.values.dtype) == (values.shape, values.dtype)
+        assert packed.values.tobytes() == values.tobytes()
+        assert (packed.y.shape, packed.y.tobytes()) == (y.shape, y.tobytes())
+        assert packed.sort_order.tolist() == order.tolist()
