@@ -88,9 +88,7 @@ def pack(batch: Batch, per_step_y: Optional[bool] = None) -> PackedBatch:
     if (lengths < 1).any():
         raise ValueError("cannot pack zero-length sequences")
     order = _descending_order(lengths)
-    X = batch.X[order]
     lengths = lengths[order]
-    y = batch.y[order]
     y_per_step = (
         batch.y.ndim == 2 and batch.y.shape[1] == batch.X.shape[1]
         if per_step_y is None
@@ -98,12 +96,14 @@ def pack(batch: Batch, per_step_y: Optional[bool] = None) -> PackedBatch:
     )
 
     s_max = int(lengths[0])
-    batch_sizes = np.array([int((lengths > t).sum()) for t in range(s_max)], dtype=np.int64)
-    values = np.concatenate([X[: batch_sizes[t], t, :] for t in range(s_max)], axis=0)
-    if y_per_step:
-        y_packed = np.concatenate([y[: batch_sizes[t], t] for t in range(s_max)], axis=0)
-    else:
-        y_packed = y
+    batch_sizes = (lengths[None, :] > np.arange(s_max)[:, None]).sum(axis=1, dtype=np.int64)
+    # lengths descend, so step t holds the first batch_sizes[t] sorted rows:
+    # one gather of every (row, step) entry, time-major, from the unsorted batch
+    steps = np.repeat(np.arange(s_max), batch_sizes)
+    starts = np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
+    rows = order[np.arange(len(steps)) - starts]
+    values = batch.X[rows, steps]
+    y_packed = batch.y[rows, steps] if y_per_step else batch.y[order]
     return PackedBatch(
         values=values,
         batch_sizes=batch_sizes,

@@ -78,7 +78,7 @@ class Rows:
     :func:`write_tensor` gathers one block at a time instead of whole."""
 
     def __init__(self, array: np.ndarray, index=None) -> None:
-        self.array = np.atleast_1d(np.asarray(array))
+        self.array = np.atleast_1d(array)
         n = len(self.array)
         if index is not None:
             index = np.asarray(index)

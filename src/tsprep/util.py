@@ -53,7 +53,7 @@ def _pid_alive(pid: int) -> bool:
     except ProcessLookupError:
         return False
     except (OSError, OverflowError):  # not ours to signal, or not a pid
-        return True
+        pass
     return True
 
 
