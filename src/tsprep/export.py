@@ -25,8 +25,8 @@ import tsprep
 from tsprep import tensorfile
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Dataset
-from tsprep.tensorfile import MANIFEST_VERSION, Rows, TensorFile, file_entry, read_tensor, split_blobs
-from tsprep.tensorfile import write_tensor
+from tsprep.tensorfile import MANIFEST_VERSION, Rows, TensorFile, file_entry, read_tensor
+from tsprep.tensorfile import split_blobs, write_tensor
 from tsprep.tensorfile import verify_dir as verify_manifest_files  # the one verifier
 from tsprep.util import canonical_json, staged_dir
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
@@ -140,7 +140,8 @@ def missingness_rates(directory: Path) -> dict[str, dict[str, float]]:
         X = TensorFile(Path(directory) / f"X_{split}.bin")
         length = read_tensor(Path(directory) / f"length_{split}.bin")
         steps = np.arange(X.shape[1])
-        nan_count, valid_count, start = np.zeros(X.shape[2], dtype=np.int64), 0, 0
+        nan_count = np.zeros(X.shape[2], dtype=np.int64)
+        valid_count = start = 0
         for block in X.blocks():
             valid = steps[None, :] < length[start : start + len(block), None]
             nan_count += (np.isnan(block) & valid[:, :, None]).sum(axis=(0, 1))

@@ -60,14 +60,6 @@ def code_for(array: np.ndarray) -> str:
         raise TensorFileError(f"unsupported dtype {array.dtype}") from None
 
 
-def _header(code: str, shape: tuple[int, ...]) -> bytes:
-    fields = " ".join([code, str(len(shape)), *(str(d) for d in shape)])
-    header = MAGIC + b" " + fields.encode("ascii")
-    if len(header) > HEADER_SIZE:
-        raise TensorFileError("tensor rank too large for the fixed header")
-    return header.ljust(HEADER_SIZE, b" ")
-
-
 def _block_rows(shape: tuple[int, ...], itemsize: int) -> int:
     """Rows per block: as many as fit in :data:`BLOCK_BYTES`, at least one."""
     return max(1, BLOCK_BYTES // max(1, math.prod(shape[1:]) * itemsize))
@@ -147,7 +139,11 @@ def write_tensor(path: Path, array, code: str | None = None) -> str:
     if code not in DTYPE_OF_CODE:
         raise TensorFileError(f"unknown element type code {code!r}")
     dtype = np.dtype(DTYPE_OF_CODE[code])
-    header = _header(code, source.shape)
+    fields = " ".join([code, str(len(source.shape)), *(str(d) for d in source.shape)])
+    header = MAGIC + b" " + fields.encode("ascii")
+    if len(header) > HEADER_SIZE:
+        raise TensorFileError("tensor rank too large for the fixed header")
+    header = header.ljust(HEADER_SIZE, b" ")
     digest = hashlib.sha256(header)
     converted = None
     with open(path, "wb") as f:

@@ -6,6 +6,7 @@ import pytest
 from tsprep.tensorfile import (
     HEADER_SIZE,
     MAGIC,
+    Rows,
     TensorFileError,
     read_tensor,
     write_tensor,
@@ -134,3 +135,14 @@ def test_impossible_shape_rejected_before_allocating(tmp_path, dims):
     path.write_bytes(bytes(blob))
     with pytest.raises(TensorFileError):
         read_tensor(path)
+
+
+def test_rows_write_the_gathered_rows_and_reject_bad_indices(tmp_path):
+    array = np.arange(24, dtype=np.float64).reshape(4, 3, 2)
+    write_tensor(tmp_path / "rows.bin", Rows(array, np.array([-1, 0, 2])))
+    write_tensor(tmp_path / "whole.bin", array[[-1, 0, 2]])
+    assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+    with pytest.raises(IndexError):
+        Rows(array, np.array([0, 4]))  # np.take's "wrap" mode would wrap it to row 0
+    with pytest.raises(TypeError):
+        Rows(array, np.array([True, False, True, False]))
