@@ -76,6 +76,13 @@ def _descending_order(lengths: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(lengths), kind="stable")
 
 
+def _time_major(batch_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, step) of each packed entry: step t holds ranks 0..batch_sizes[t]-1."""
+    steps = np.repeat(np.arange(len(batch_sizes)), batch_sizes)
+    starts = np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
+    return np.arange(len(steps)) - starts, steps
+
+
 def pack(batch: Batch, per_step_y: Optional[bool] = None) -> PackedBatch:
     """Pack a padded batch (sorting it internally if needed).
 
@@ -97,11 +104,9 @@ def pack(batch: Batch, per_step_y: Optional[bool] = None) -> PackedBatch:
 
     s_max = int(lengths[0])
     batch_sizes = (lengths[None, :] > np.arange(s_max)[:, None]).sum(axis=1, dtype=np.int64)
-    # lengths descend, so step t holds the first batch_sizes[t] sorted rows:
     # one gather of every (row, step) entry, time-major, from the unsorted batch
-    steps = np.repeat(np.arange(s_max), batch_sizes)
-    starts = np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
-    rows = order[np.arange(len(steps)) - starts]
+    ranks, steps = _time_major(batch_sizes)
+    rows = order[ranks]
     values = batch.X[rows, steps]
     y_packed = batch.y[rows, steps] if y_per_step else batch.y[order]
     return PackedBatch(
@@ -117,20 +122,14 @@ def unpack(packed: PackedBatch) -> Batch:
     """Restore the NaN-padded batch in descending-length order, i.e.
     ``unpack(pack(b))`` equals ``sort_by_length(b)``."""
     batch_sizes = packed.batch_sizes
-    s_max = len(batch_sizes)
-    b = int(batch_sizes[0])
-    c = packed.values.shape[1]
-    lengths = np.array([int((batch_sizes > i).sum()) for i in range(b)], dtype=np.int64)
-    X = np.full((b, s_max, c), np.nan)
-    offset = 0
+    b, s_max = int(batch_sizes[0]), len(batch_sizes)
+    # one scatter of every packed entry back to its (rank, step)
+    ranks, steps = _time_major(batch_sizes)
+    X = np.full((b, s_max, packed.values.shape[1]), np.nan)
+    X[ranks, steps] = packed.values
+    y = packed.y
     if packed.y_per_step:
         y = np.full((b, s_max), np.nan)
-    else:
-        y = packed.y
-    for t in range(s_max):
-        k = int(batch_sizes[t])
-        X[:k, t, :] = packed.values[offset : offset + k]
-        if packed.y_per_step:
-            y[:k, t] = packed.y[offset : offset + k]
-        offset += k
+        y[ranks, steps] = packed.y
+    lengths = np.bincount(ranks, minlength=b).astype(np.int64)
     return Batch(X=X, y=y, length=lengths)

@@ -2,10 +2,10 @@
 
 Layout: ``<root>/.torchtime/<key>/`` holds ``X.bin``, ``y.bin``, ``length.bin``
 at full precision and a ``manifest.json`` (:mod:`tsprep.tensorfile`) that
-also records ``format_version``, ``source_options`` and ``dataset_info``.
-Entries are published whole by :func:`tsprep.util.staged_dir`, so readers
-only ever see absent, old or complete entries; one from before format 2
-has no manifest and is rebuilt.
+also records ``format_version``, ``dataset`` (the key, the entry's only
+identity) and ``dataset_info``. Entries are published whole by
+:func:`tsprep.util.staged_dir`, so readers only ever see absent, old or
+complete entries; one from before format 2 has no manifest and is rebuilt.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from tsprep.tensorfile import CACHE_BLOBS, CACHE_FORMAT_VERSION, ManifestError, TensorFileError
-from tsprep.tensorfile import file_entry, read_manifest, read_tensor, write_tensor
+from tsprep.tensorfile import check_entry, file_entry, read_manifest, read_tensor, write_tensor
 from tsprep.tensorfile import verify_dir as verify  # the one verifier, under the cache's name
 from tsprep.util import canonical_json, staged_dir
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
@@ -45,7 +45,6 @@ def save(
     X: np.ndarray,
     y: np.ndarray,
     length: np.ndarray,
-    source_options: dict,
     dataset_info: dict | None = None,
 ) -> None:
     """Write a cache entry through :func:`tsprep.util.staged_dir`.
@@ -65,19 +64,19 @@ def save(
             "format_version": CACHE_FORMAT_VERSION,
             "dataset": key,
             "created_utc": datetime.now(timezone.utc).isoformat(),
-            "source_options": source_options,
             "dataset_info": dataset_info or {},
             "files": files,
         }
         (tmp / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
 
 
-def load(root: Path, key: str, source_options: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def load(root: Path, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Load a cache entry, raising :class:`CacheAbsent` when there is no
     entry for the key and :class:`CacheCorrupt` when validation fails
-    (malformed or missing manifest, wrong format version, checksum mismatch
-    or unreadable blob); an entry built from other source options is a
-    plain :class:`CacheMiss`. The manifest is checked before any blob read.
+    (malformed or missing manifest, wrong format version, checksum mismatch,
+    a blob header that differs from its ``files`` entry or an unreadable
+    blob); a manifest naming another key is a plain :class:`CacheMiss`. The
+    manifest is checked before any blob read.
 
     Each blob is hashed while it is read, in one pass, and the digest is
     checked against the manifest before the arrays are returned.
@@ -89,17 +88,18 @@ def load(root: Path, key: str, source_options: dict) -> tuple[np.ndarray, np.nda
         manifest = read_manifest(directory, "cache")
     except (ManifestError, OSError) as err:
         raise CacheCorrupt(str(err)) from None
-    if manifest.get("dataset") != key or manifest.get("source_options") != source_options:
+    if manifest.get("dataset") != key:
         # a stale entry is not corruption, but it cannot be used either
-        raise CacheMiss(f"{directory}: entry was built with different source options")
+        raise CacheMiss(f"{directory}: entry was built for {manifest.get('dataset')!r}")
     arrays = []
     for name in CACHE_BLOBS:
-        digest = hashlib.sha256()
+        digest, entry = hashlib.sha256(), manifest["files"][name]
         try:
             arrays.append(read_tensor(directory / name, digest))
+            check_entry(directory / name, entry, arrays[-1])
         except (TensorFileError, OSError) as err:
-            raise CacheCorrupt(f"{directory}: unreadable {name}: {err}") from None
-        if digest.hexdigest() != manifest["files"][name]["sha256"]:
+            raise CacheCorrupt(f"{directory}: bad {name}: {err}") from None
+        if digest.hexdigest() != entry["sha256"]:
             raise CacheCorrupt(f"{directory}: checksum mismatch for {name}")
     X, y, length = arrays
     return X, y, length, manifest

@@ -12,6 +12,7 @@ working directory.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -129,23 +130,15 @@ def cmd_fetch(args) -> int:
 
 def cmd_prepare(args) -> int:
     path = args.path or _default_path()
-    config = PipelineConfig(
-        dataset=args.dataset,
-        split=args.split,
-        train_prop=args.train_prop,
-        val_prop=args.val_prop,
-        missing=_parse_missing(args.missing),
-        impute=args.impute,
-        categorical=_parse_int_list(args.categorical, "--categorical"),
-        channel_means=_parse_channel_means(args.channel_means),
-        time=args.time,
-        mask=args.mask,
-        delta=args.delta,
-        standardise=args.standardise,
-        overwrite_cache=args.overwrite_cache,
-        path=path,
-        seed=args.seed,
-    )
+    # every config field is the flag of the same name, except these
+    parsed = {
+        "missing": _parse_missing(args.missing),
+        "categorical": _parse_int_list(args.categorical, "--categorical"),
+        "channel_means": _parse_channel_means(args.channel_means),
+        "path": path,
+    }
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
+    config = PipelineConfig(**{**flags, **parsed})
     out_dir = Path(args.out) if args.out else Path(path) / ".torchtime" / "prepared" / config.key
     export.check_replaceable(out_dir)  # fail before the build, not after it
     dataset = build(config, workers=args.workers)

@@ -16,6 +16,7 @@ Manifests may name only those blobs, so no read or write leaves the
 directory.
 """
 
+import dataclasses
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,8 +26,8 @@ import tsprep
 from tsprep import tensorfile
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Dataset
-from tsprep.tensorfile import MANIFEST_VERSION, Rows, TensorFile, file_entry, read_tensor
-from tsprep.tensorfile import split_blobs, write_tensor
+from tsprep.tensorfile import MANIFEST_VERSION, Rows, TensorFile, check_entry, file_entry
+from tsprep.tensorfile import read_tensor, split_blobs, write_tensor
 from tsprep.tensorfile import verify_dir as verify_manifest_files  # the one verifier
 from tsprep.util import canonical_json, staged_dir
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
@@ -35,24 +36,17 @@ _FILE_NAMES = split_blobs(SPLIT_CODES)
 
 
 def _config_echo(config: PipelineConfig) -> dict:
+    """Every :class:`PipelineConfig` field, with the non-JSON ones converted."""
+    echo = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     missing = config.missing
-    return {
-        "dataset": config.dataset,
-        "split": config.split,
-        "train_prop": config.train_prop,
-        "val_prop": config.val_prop,
-        "missing": list(missing) if not np.isscalar(missing) else float(missing),
-        "impute": "custom" if callable(config.impute) else config.impute,
-        "categorical": [int(i) for i in config.categorical],
-        "channel_means": {str(k): float(v) for k, v in config.channel_means.items()},
-        "time": config.time,
-        "mask": config.mask,
-        "delta": config.delta,
-        "standardise": config.standardise,
-        "overwrite_cache": config.overwrite_cache,
-        "path": str(config.path),
-        "seed": config.seed,
-    }
+    echo.update(
+        missing=list(missing) if not np.isscalar(missing) else float(missing),
+        impute="custom" if callable(config.impute) else config.impute,
+        categorical=[int(i) for i in config.categorical],
+        channel_means={str(k): float(v) for k, v in config.channel_means.items()},
+        path=str(config.path),
+    )
+    return echo
 
 
 def check_replaceable(out_dir: Path) -> None:
@@ -110,9 +104,10 @@ def read_manifest(directory: Path) -> dict:
 def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Path:
     """Convert a prepared directory to ``dtype`` (applies to X and y; length
     files are always i64) with a refreshed manifest, replacing ``out_dir``
-    whole. Each blob is read, converted and written one row block at a time.
-    Every read happens before the publish, so ``out_dir`` may be
-    ``prepared_dir`` itself."""
+    whole. Each blob is read, converted and written one row block at a time;
+    a blob whose header differs from its ``files`` entry is refused
+    (:class:`~tsprep.tensorfile.TensorFileError`). Every read happens before
+    the publish, so ``out_dir`` may be ``prepared_dir`` itself."""
     if dtype not in ("f32", "f64"):
         raise ConfigError(f"export dtype must be f32 or f64, got {dtype!r}")
     prepared_dir, out_dir = Path(prepared_dir), Path(out_dir)
@@ -120,8 +115,9 @@ def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Pa
     check_replaceable(out_dir)
     with staged_dir(out_dir) as tmp:
         files: dict[str, dict] = {}
-        for name in manifest["files"]:
+        for name, entry in manifest["files"].items():
             source = TensorFile(prepared_dir / name)
+            check_entry(source.path, entry, source)
             code = "i64" if name.startswith("length") else dtype
             files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
         manifest["files"] = files

@@ -105,12 +105,6 @@ class PatientRecord:
         return len(self.times)
 
 
-@dataclass(frozen=True)
-class Outcome2012:
-    record_id: str
-    in_hospital_death: int
-
-
 def _clean(value: str) -> float:
     """Parse a 2012 value; -1 is the challenge's missing indicator."""
     value = value.strip()
@@ -206,12 +200,13 @@ def parse_patient_2012(text: str) -> PatientRecord:
     )
 
 
-def parse_outcomes_2012(text: str) -> dict[str, Outcome2012]:
-    """Parse an ``Outcomes-*.txt`` file to a record_id -> outcome map."""
+def parse_outcomes_2012(text: str) -> dict[str, int]:
+    """Parse an ``Outcomes-*.txt`` file to a record_id -> in-hospital death
+    (0 or 1) map."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or "In-hospital_death" not in reader.fieldnames:
         raise RecordParseError("outcomes file lacks an In-hospital_death column")
-    outcomes: dict[str, Outcome2012] = {}
+    outcomes: dict[str, int] = {}
     for row in reader:
         record_id = str(int(float(row["RecordID"])))
         if record_id in outcomes:
@@ -219,7 +214,7 @@ def parse_outcomes_2012(text: str) -> dict[str, Outcome2012]:
         label = row["In-hospital_death"].strip()
         if label not in ("0", "1"):
             raise RecordParseError(f"label {label!r} for record {record_id} not in {{0, 1}}")
-        outcomes[record_id] = Outcome2012(record_id=record_id, in_hospital_death=int(label))
+        outcomes[record_id] = int(label)
     return outcomes
 
 
@@ -365,29 +360,33 @@ def _read_parallel(paths: list[Path], parse_files, workers: int) -> list[Patient
         return [record for part in pool.map(parse_files, chunks) for record in part]
 
 
-def load_records_2012(directory: Path, workers: int = 1) -> tuple[list[PatientRecord], int]:
-    """Parse every ``set-*/*.txt`` record under ``directory``.
-
-    Returns records sorted by record id plus the count of records dropped
-    for having no time series rows. With ``workers > 1`` the files are parsed
-    in up to that many worker processes; ``workers=1`` parses in this
-    process. The output is byte-identical for any worker count.
-    """
-    paths = sorted(directory.glob("set-*/*.txt"))
+def _load_records(
+    directory: Path, pattern: str, parse_files, workers: int, id_key
+) -> tuple[list[PatientRecord], int]:
+    """Parse every ``pattern`` file under ``directory`` in up to ``workers``
+    processes (``workers=1`` parses in this process; the output is
+    byte-identical for any worker count). Returns the records with at least
+    one row, sorted by ``id_key(record_id)``, and the count of the others."""
+    paths = sorted(directory.glob(pattern))
     if not paths:
-        raise FileNotFoundError(f"no set-*/ record files under {directory}")
-
-    records = _read_parallel(paths, _parse_2012_files, workers)
-    kept = [r for r in records if r.n_steps > 0]
-    kept.sort(key=lambda r: int(r.record_id))
+        raise FileNotFoundError(f"no {pattern} record files under {directory}")
+    records = _read_parallel(paths, parse_files, workers)
+    kept = sorted((r for r in records if r.n_steps > 0), key=lambda r: id_key(r.record_id))
     return kept, len(records) - len(kept)
 
 
-def load_outcomes_2012(directory: Path) -> dict[str, Outcome2012]:
+def load_records_2012(directory: Path, workers: int = 1) -> tuple[list[PatientRecord], int]:
+    """Every ``set-*/*.txt`` record under ``directory``, sorted by record id,
+    and the count of those dropped for having no time series rows (see
+    :func:`_load_records`)."""
+    return _load_records(directory, "set-*/*.txt", _parse_2012_files, workers, int)
+
+
+def load_outcomes_2012(directory: Path) -> dict[str, int]:
     paths = sorted(directory.glob("Outcomes-*.txt"))
     if not paths:
         raise FileNotFoundError(f"no Outcomes-*.txt under {directory}")
-    outcomes: dict[str, Outcome2012] = {}
+    outcomes: dict[str, int] = {}
     for path in paths:
         part = parse_outcomes_2012(path.read_text())
         dupes = outcomes.keys() & part.keys()
@@ -400,36 +399,25 @@ def load_outcomes_2012(directory: Path) -> dict[str, Outcome2012]:
 def load_records_2019(
     directory: Path, workers: int = 1, binary: bool = False
 ) -> tuple[list[PatientRecord], np.ndarray, int]:
-    """Parse every ``training_set*/*.psv`` under ``directory``, sorted by
-    record id.
+    """Every ``training_set*/*.psv`` record under ``directory``, sorted by
+    record id (see :func:`_load_records`).
 
     Returns ``(records, labels, dropped)``. For the binary variant, records
     are truncated to 72 ICULOS hours, ``labels`` are the per-stay binary
     outcomes and patients with no rows inside the window are dropped (and
     counted); otherwise ``labels`` is empty and per-step labels stay on the
-    records. With ``workers > 1`` the files are parsed in up to that many
-    worker processes; ``workers=1`` parses in this process. The output is
-    byte-identical for any worker count.
+    records.
     """
-    paths = sorted(directory.glob("training_set*/*.psv"))
-    if not paths:
-        raise FileNotFoundError(f"no training_set*/ .psv files under {directory}")
-
-    records = _read_parallel(paths, _parse_2019_files, workers)
-    records = [r for r in records if r.n_steps > 0]
-    dropped = len(paths) - len(records)
-    records.sort(key=lambda r: r.record_id)
+    records, dropped = _load_records(
+        directory, "training_set*/*.psv", _parse_2019_files, workers, str
+    )
     if not binary:
         return records, np.empty(0, dtype=np.int64), dropped
 
-    kept: list[PatientRecord] = []
-    labels: list[int] = []
+    pairs = []
     for record in records:
         try:
-            truncated, label = to_binary_2019(record)
+            pairs.append(to_binary_2019(record))
         except RecordParseError:
             dropped += 1
-            continue
-        kept.append(truncated)
-        labels.append(label)
-    return kept, np.array(labels, dtype=np.int64), dropped
+    return [r for r, _ in pairs], np.array([label for _, label in pairs], dtype=np.int64), dropped

@@ -22,6 +22,7 @@ channels are 1..d (e.g. 20 is MechVent for PhysioNet 2012).
 """
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -46,7 +47,7 @@ from tsprep.tensor_core import (
     standardise,  # unused here, but perfbench/tracing.py wraps pipeline.standardise
     standardise_in_place,
 )
-from tsprep.ts_format import TEST_FILE, TRAIN_FILE, merge_train_test, parse_ts_file
+from tsprep.ts_format import merge_train_test, parse_ts_file
 
 logger = logging.getLogger(__name__)
 
@@ -118,12 +119,9 @@ class PipelineConfig:
         allowed = ("train", "val", "test") if self.val_prop is not None else ("train", "val")
         if self.split not in allowed:
             raise ConfigError(f"split must be one of {allowed}, got {self.split!r}")
-        per_channel = not np.isscalar(self.missing)
-        if self.kind != UEA:
-            nonzero = any(float(p) != 0.0 for p in self.missing) if per_channel else float(self.missing) != 0.0
-            if nonzero:
-                raise ConfigError("missing-data simulation applies to UEA datasets only")
-        props = [float(p) for p in self.missing] if per_channel else [float(self.missing)]
+        props = [float(p) for p in self.missing] if not np.isscalar(self.missing) else [float(self.missing)]
+        if self.kind != UEA and any(p != 0.0 for p in props):
+            raise ConfigError("missing-data simulation applies to UEA datasets only")
         if any(not 0.0 <= p <= 1.0 for p in props):
             raise ConfigError("missing proportions must be in [0, 1]")
         if not (callable(self.impute) or self.impute in transforms.IMPUTE_METHODS):
@@ -134,36 +132,31 @@ class PipelineConfig:
             raise ConfigError("seed must be an integer")
 
 
+@contextmanager
 def _step(number: int, name: str):
-    """Decorator-free step context: wrap exceptions with the step label."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, (ConfigError, BuildError)):
-                raise BuildError(f"step {number} ({name}): {exc}") from exc
-            return False
-
-    return _Ctx()
+    """Relabel an error raised inside step ``number`` as a :class:`BuildError`
+    naming the step; interrupts and configuration errors pass unchanged."""
+    try:
+        yield
+    except (ConfigError, BuildError):
+        raise
+    except Exception as exc:
+        raise BuildError(f"step {number} ({name}): {exc}") from exc
 
 
 def _ingest_uea(raw: Path, dataset: str):
     train_path = _find_ts(raw, dataset, "TRAIN")
     test_path = _find_ts(raw, dataset, "TEST", required=False)
-    header, train = parse_ts_file(train_path.read_text(), source_file=TRAIN_FILE)
+    header, train = parse_ts_file(train_path.read_text())
     test = []
     if test_path is not None:
-        test_header, test = parse_ts_file(test_path.read_text(), source_file=TEST_FILE)
+        test_header, test = parse_ts_file(test_path.read_text())
         if set(test_header.class_labels) != set(header.class_labels):
             raise ValueError("train/test files declare different class labels")
     pool = merge_train_test(train, test)
 
     label_index = {label: i for i, label in enumerate(header.class_labels)}
-    y = np.zeros((len(pool), len(header.class_labels)))
-    for i, series in enumerate(pool):
-        y[i, label_index[series.label]] = 1.0
+    y = np.eye(len(header.class_labels))[[label_index[series.label] for series in pool]]
     matrices = [np.stack(series.channels, axis=1) for series in pool]
     X, lengths = pad_to_longest(matrices)
     times = [np.arange(L, dtype=np.float64) for L in lengths]
@@ -171,7 +164,6 @@ def _ingest_uea(raw: Path, dataset: str):
     info = {
         "time_channel": "time",
         "channels": [f"dim{i}" for i in range(X.shape[2] - 1)],
-        "class_labels": list(header.class_labels),
         "mask_covers_time": False,
         "dropped_records": 0,
     }
@@ -190,52 +182,45 @@ def _find_ts(raw: Path, dataset: str, part: str, required: bool = True) -> Optio
     return candidates[0]
 
 
-def _ingest_2012(raw: Path, workers: int):
-    records, dropped = physionet.load_records_2012(raw, workers=workers)
-    outcomes = physionet.load_outcomes_2012(raw)
-    missing = [r.record_id for r in records if r.record_id not in outcomes]
-    if missing:
-        raise ValueError(f"records without outcomes: {missing[:5]}")
-    matrices = [np.column_stack([r.times, r.values]) for r in records]
-    X, lengths = pad_to_longest(matrices)
-    y = np.array(
-        [[float(outcomes[r.record_id].in_hospital_death)] for r in records]
-    )
-    info = {
-        "time_channel": "Mins",
-        "channels": list(physionet.PHYSIONET_2012_CHANNELS[1:]),
-        "class_labels": None,
-        "mask_covers_time": True,
-        "dropped_records": dropped,
-    }
-    return X, y, lengths, info
-
-
-def _ingest_2019(raw: Path, workers: int, binary: bool):
-    records, bin_labels, dropped = physionet.load_records_2019(
-        raw, workers=workers, binary=binary
-    )
+def _physionet_master(raw: Path, records: list, dropped: int, time_channel: str):
+    """The padded ``[times | values]`` master of PhysioNet records, their
+    lengths and the ``dataset_info`` of the cache entry."""
     if not records:
         raise ValueError(f"no usable records under {raw}")
     names = records[0].channel_names
     for r in records:
         if r.channel_names != names:
             raise ValueError(f"record {r.record_id} has a different channel set")
-    matrices = [np.column_stack([r.times, r.values]) for r in records]
-    X, lengths = pad_to_longest(matrices)
+    X, lengths = pad_to_longest([np.column_stack([r.times, r.values]) for r in records])
+    info = {
+        "time_channel": time_channel,
+        "channels": list(names),
+        "mask_covers_time": True,
+        "dropped_records": dropped,
+    }
+    return X, lengths, info
+
+
+def _ingest_2012(raw: Path, workers: int):
+    records, dropped = physionet.load_records_2012(raw, workers=workers)
+    outcomes = physionet.load_outcomes_2012(raw)
+    missing = [r.record_id for r in records if r.record_id not in outcomes]
+    if missing:
+        raise ValueError(f"records without outcomes: {missing[:5]}")
+    X, lengths, info = _physionet_master(raw, records, dropped, "Mins")
+    y = np.array([[float(outcomes[r.record_id])] for r in records])
+    return X, y, lengths, info
+
+
+def _ingest_2019(raw: Path, workers: int, binary: bool):
+    records, labels, dropped = physionet.load_records_2019(raw, workers=workers, binary=binary)
+    X, lengths, info = _physionet_master(raw, records, dropped, "ICULOS")
     if binary:
-        y = bin_labels.astype(np.float64).reshape(-1, 1)
+        y = labels.astype(np.float64).reshape(-1, 1)
     else:
         y = np.full((len(records), X.shape[1]), np.nan)
         for i, r in enumerate(records):
             y[i, : r.n_steps] = r.step_labels
-    info = {
-        "time_channel": "ICULOS",
-        "channels": list(names),
-        "class_labels": None,
-        "mask_covers_time": True,
-        "dropped_records": dropped,
-    }
     return X, y, lengths, info
 
 
@@ -250,22 +235,17 @@ def _ingest(config: PipelineConfig, root: Path, workers: int):
     return _ingest_2019(raw, workers, binary=kind == PHYSIONET2019_BINARY)
 
 
-def _source_options(config: PipelineConfig) -> dict:
-    return {"kind": config.kind, "dataset": config.dataset if config.kind == UEA else config.kind}
-
-
 def _master(config: PipelineConfig, root: Path, workers: int):
-    options = _source_options(config)
     if not config.overwrite_cache:
         try:
-            X, y, length, meta = cache_store.load(root, config.key, options)
+            X, y, length, meta = cache_store.load(root, config.key)
             return X, y, length, meta["dataset_info"]
         except cache_store.CacheCorrupt as err:
             logger.warning("rebuilding corrupt cache entry: %s", err)
         except cache_store.CacheMiss:
             pass
     X, y, length, info = _ingest(config, root, workers)
-    cache_store.save(root, config.key, X, y, length, options, dataset_info=info)
+    cache_store.save(root, config.key, X, y, length, dataset_info=info)
     return X, y, length, info
 
 
@@ -278,7 +258,7 @@ def _strata(config: PipelineConfig, y: np.ndarray) -> np.ndarray:
     return y[:, 0].astype(np.int64)
 
 
-def _data_block_indices(config: PipelineConfig, d: int, indices, what: str) -> list[int]:
+def _data_block_indices(d: int, indices, what: str) -> list[int]:
     out = []
     for idx in indices:
         idx = int(idx)
@@ -312,18 +292,14 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
     if config.kind == PHYSIONET2012:
         categorical = sorted(set(categorical) | set(PHYSIONET_2012_CATEGORICAL))
         channel_means = {**PHYSIONET_2012_CHANNEL_MEANS, **channel_means}
-    cat_cols = _data_block_indices(config, d, categorical, "categorical")
+    cat_cols = _data_block_indices(d, categorical, "categorical")
     mean_overrides = {
-        _data_block_indices(config, d, [k], "channel_means")[0]: float(v)
+        _data_block_indices(d, [k], "channel_means")[0]: float(v)
         for k, v in channel_means.items()
     }
 
     with _step(3, "simulate missing data"):
-        per_channel = not np.isscalar(config.missing)
-        nonzero = (
-            any(float(p) > 0 for p in config.missing) if per_channel else float(config.missing) > 0
-        )
-        if nonzero:
+        if (np.asarray(config.missing, dtype=np.float64) > 0).any():
             X = transforms.simulate_missing(X, lengths, config.missing, config.seed)
 
     with _step(4, "append time/mask/delta channels"):

@@ -211,6 +211,14 @@ def file_entry(digest: str, array: np.ndarray, code: str) -> dict:
     return {"sha256": digest, "shape": list(array.shape), "dtype": code}
 
 
+def check_entry(path: Path, entry: dict, source) -> None:
+    """Raise :class:`TensorFileError` unless ``source`` (an array or a
+    :class:`TensorFile`) has the element type and shape ``entry`` states."""
+    found, stated = (code_for(source), list(source.shape)), (entry["dtype"], entry["shape"])
+    if found != stated:
+        raise TensorFileError(f"{path}: header holds {found}, manifest states {stated}")
+
+
 def read_manifest(directory: Path, kind: str | None = None) -> dict:
     """Parse and check ``<directory>/manifest.json``, else :class:`ManifestError`.
 
@@ -256,12 +264,21 @@ def read_manifest(directory: Path, kind: str | None = None) -> dict:
     return manifest
 
 
+def _intact(path: Path, entry: dict) -> bool:
+    try:
+        check_entry(path, entry, TensorFile(path))
+    except (OSError, TensorFileError):
+        return False
+    return sha256_file(path) == entry["sha256"]
+
+
 def verify_dir(directory: Path) -> list[str]:
-    """Names of the blobs of a tensor directory that are missing or whose
-    SHA256, read from disk, differs from the manifest; empty means intact."""
+    """Names of the blobs of a tensor directory that are missing, whose
+    header differs from their ``files`` entry or whose SHA256, read from
+    disk, differs from the manifest; empty means intact."""
     directory = Path(directory)
     return [
         name
         for name, entry in sorted(read_manifest(directory)["files"].items())
-        if not (directory / name).is_file() or sha256_file(directory / name) != entry["sha256"]
+        if not _intact(directory / name, entry)
     ]

@@ -12,10 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-TRAIN_FILE = "train_file"
-TEST_FILE = "test_file"
-
-
 class TsParseError(ValueError):
     """Raised for malformed ``.ts`` content."""
 
@@ -36,7 +32,6 @@ class RawSeries:
 
     channels: list[np.ndarray]
     label: str
-    source_file: str = TRAIN_FILE
 
     @property
     def length(self) -> int:
@@ -78,7 +73,7 @@ def _parse_dimension(dim: str) -> np.ndarray:
         return np.array([_parse_value(v) for v in tokens], dtype=np.float64)
 
 
-def parse_ts_file(text: str, source_file: str = TRAIN_FILE) -> tuple[TsHeader, list[RawSeries]]:
+def parse_ts_file(text: str) -> tuple[TsHeader, list[RawSeries]]:
     """Parse one complete ``.ts`` file.
 
     Returns the header and one :class:`RawSeries` per data line, in file
@@ -153,7 +148,7 @@ def parse_ts_file(text: str, source_file: str = TRAIN_FILE) -> tuple[TsHeader, l
             raise TsParseError(
                 f"line {lineno}: series length differs from declared @seriesLength"
             )
-        series.append(RawSeries(channels=channels, label=label, source_file=source_file))
+        series.append(RawSeries(channels=channels, label=label))
 
     if header is None:
         raise TsParseError("no @data section")

@@ -306,9 +306,8 @@ def test_criterion_10_cache_integrity(tmp_path):
     X[1, 4:, :] = np.nan
     y = rng.randn(3, 2)
     length = np.array([5, 4, 5], dtype=np.int64)
-    options = {"kind": "uea", "dataset": "Demo"}
-    save(tmp_path, "demo", X, y, length, options)
-    X2, y2, length2, _ = load(tmp_path, "demo", options)
+    save(tmp_path, "demo", X, y, length)
+    X2, y2, length2, _ = load(tmp_path, "demo")
     np.testing.assert_array_equal(X2, X)
     np.testing.assert_array_equal(y2, y)
     np.testing.assert_array_equal(length2, length)
@@ -322,9 +321,9 @@ def test_criterion_10_cache_integrity(tmp_path):
                 mutated[index] ^= 1 << bit
                 blob_path.write_bytes(bytes(mutated))
                 with pytest.raises(CacheCorrupt):
-                    load(tmp_path, "demo", options)
+                    load(tmp_path, "demo")
         blob_path.write_bytes(pristine)
-    load(tmp_path, "demo", options)  # intact again
+    load(tmp_path, "demo")  # intact again
 
 
 def independent_read(path):

@@ -24,38 +24,40 @@ def sample_tensors(seed=0):
     return X, y, length
 
 
-OPTIONS = {"kind": "uea", "dataset": "Demo"}
-
-
 def test_save_load_roundtrip_bitwise(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS, dataset_info={"channels": ["a"]})
-    X2, y2, length2, meta = load(tmp_path, "demo", OPTIONS)
+    save(tmp_path, "demo", X, y, length, dataset_info={"channels": ["a"]})
+    X2, y2, length2, meta = load(tmp_path, "demo")
     np.testing.assert_array_equal(X2, X)
     np.testing.assert_array_equal(y2, y)
     np.testing.assert_array_equal(length2, length)
     assert meta["dataset"] == "demo"
-    assert meta["source_options"] == OPTIONS
     assert meta["dataset_info"] == {"channels": ["a"]}
 
 
 def test_entry_holds_only_manifest_and_blobs(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     names = sorted(p.name for p in entry_dir(tmp_path, "demo").iterdir())
     assert names == ["X.bin", "length.bin", "manifest.json", "y.bin"]
 
 
 def test_absent_entry_is_a_distinct_miss(tmp_path):
     with pytest.raises(CacheAbsent):
-        load(tmp_path, "nothing", OPTIONS)
+        load(tmp_path, "nothing")
 
 
-def test_option_mismatch_is_a_miss_not_corruption(tmp_path):
+def _entry_of_another_key(root):
+    """An entry under key "demo" whose manifest names the key "other"."""
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(root, "other", X, y, length)
+    entry_dir(root, "other").rename(entry_dir(root, "demo"))
+
+
+def test_other_key_is_a_miss_not_corruption(tmp_path):
+    _entry_of_another_key(tmp_path)
     with pytest.raises(CacheMiss) as excinfo:
-        load(tmp_path, "demo", {"kind": "uea", "dataset": "Other"})
+        load(tmp_path, "demo")
     assert not isinstance(excinfo.value, CacheCorrupt)
 
 
@@ -63,22 +65,22 @@ def test_option_mismatch_is_a_miss_not_corruption(tmp_path):
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_single_bit_flip_detected(tmp_path, name, position):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     target = entry_dir(tmp_path, "demo") / name
     blob = bytearray(target.read_bytes())
     index = {"first": 0, "middle": len(blob) // 2, "last": len(blob) - 1}[position]
     blob[index] ^= 0x01
     target.write_bytes(bytes(blob))
     with pytest.raises(CacheCorrupt, match=name):
-        load(tmp_path, "demo", OPTIONS)
+        load(tmp_path, "demo")
 
 
 def test_missing_blob_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     (entry_dir(tmp_path, "demo") / "y.bin").unlink()
     with pytest.raises(CacheCorrupt, match="y.bin"):
-        load(tmp_path, "demo", OPTIONS)
+        load(tmp_path, "demo")
 
 
 def read_manifest_json(root, key="demo"):
@@ -87,15 +89,15 @@ def read_manifest_json(root, key="demo"):
 
 def test_mangled_manifest_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     (entry_dir(tmp_path, "demo") / "manifest.json").write_text("{not json")
     with pytest.raises(CacheCorrupt, match="manifest.json"):
-        load(tmp_path, "demo", OPTIONS)
+        load(tmp_path, "demo")
 
 
 def test_files_entries_are_well_formed(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     files = read_manifest_json(tmp_path)["files"]
     assert sorted(files) == ["X.bin", "length.bin", "y.bin"]
     for name, array, code in (("X.bin", X, "f64"), ("y.bin", y, "f64"), ("length.bin", length, "i64")):
@@ -106,17 +108,17 @@ def test_files_entries_are_well_formed(tmp_path):
 
 def test_identical_data_identical_files_map(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "one", X, y, length, OPTIONS)
-    save(tmp_path, "two", X, y, length, OPTIONS)
+    save(tmp_path, "one", X, y, length)
+    save(tmp_path, "two", X, y, length)
     assert read_manifest_json(tmp_path, "one")["files"] == read_manifest_json(tmp_path, "two")["files"]
 
 
 def test_resave_replaces_entry(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     X2 = X + 1.0
-    save(tmp_path, "demo", X2, y, length, OPTIONS)
-    loaded, _, _, _ = load(tmp_path, "demo", OPTIONS)
+    save(tmp_path, "demo", X2, y, length)
+    loaded, _, _, _ = load(tmp_path, "demo")
     np.testing.assert_array_equal(loaded, X2)
     leftovers = [p for p in (tmp_path / ".torchtime").iterdir() if p.name != "demo"]
     assert leftovers == []
@@ -130,20 +132,20 @@ def test_interrupted_save_leaves_no_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", explode)
     with pytest.raises(OSError):
-        save(tmp_path, "demo", X, y, length, OPTIONS)
+        save(tmp_path, "demo", X, y, length)
     monkeypatch.undo()
     assert not entry_dir(tmp_path, "demo").exists()
     with pytest.raises(CacheAbsent):
-        load(tmp_path, "demo", OPTIONS)
+        load(tmp_path, "demo")
 
 
 def test_wrong_format_version_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     path = entry_dir(tmp_path, "demo") / "manifest.json"
     path.write_text(path.read_text().replace('"format_version": 2', '"format_version": 99'))
     with pytest.raises(CacheCorrupt, match="format"):
-        load(tmp_path, "demo", OPTIONS)
+        load(tmp_path, "demo")
 
 
 def _flip_header_digit(blob: bytearray) -> None:
@@ -169,19 +171,33 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_damaged_blob_is_corrupt(tmp_path, name, corruption):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     target = entry_dir(tmp_path, "demo") / name
     blob = bytearray(target.read_bytes())
     CORRUPTIONS[corruption](blob)
     target.write_bytes(bytes(blob))
     with pytest.raises(CacheCorrupt, match=name):
-        load(tmp_path, "demo", OPTIONS)
+        load(tmp_path, "demo")
+
+
+@pytest.mark.parametrize("field, value", [("shape", [7, 7, 7]), ("dtype", "f32")])
+def test_header_differing_from_its_files_entry_is_corrupt(tmp_path, field, value):
+    """A blob whose digest matches but whose header is not the shape or
+    element type the manifest states is never loaded."""
+    X, y, length = sample_tensors()
+    save(tmp_path, "demo", X, y, length)
+    path = entry_dir(tmp_path, "demo") / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"]["X.bin"][field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CacheCorrupt, match="X.bin.*manifest states"):
+        load(tmp_path, "demo")
 
 
 def test_load_reads_each_blob_once(tmp_path, monkeypatch):
     """Verification happens while the blobs are read: no separate hash pass."""
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     reads = []
     real_open = open
 
@@ -191,7 +207,7 @@ def test_load_reads_each_blob_once(tmp_path, monkeypatch):
         return real_open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counting_open)
-    load(tmp_path, "demo", OPTIONS)
+    load(tmp_path, "demo")
     assert sorted(reads) == ["X.bin", "length.bin", "y.bin"]
 
 
@@ -203,7 +219,7 @@ def test_save_writes_checksums_of_written_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cache_store, "sha256_file", no_read_back)
     monkeypatch.setattr(tensorfile, "sha256_file", no_read_back)
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     monkeypatch.undo()
     directory = entry_dir(tmp_path, "demo")
     files = read_manifest_json(tmp_path)["files"]
@@ -214,13 +230,12 @@ def test_save_writes_checksums_of_written_bytes(tmp_path, monkeypatch):
 
 def test_stale_entry_reads_no_blob(tmp_path, monkeypatch):
     """The manifest is checked before any blob is opened."""
-    X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    _entry_of_another_key(tmp_path)
     real_read = cache_store.read_tensor
     reads = []
     monkeypatch.setattr(cache_store, "read_tensor", lambda *a: reads.append(a) or real_read(*a))
     with pytest.raises(CacheMiss):
-        load(tmp_path, "demo", {"kind": "uea", "dataset": "Other"})
+        load(tmp_path, "demo")
     assert reads == []
 
 
@@ -231,7 +246,7 @@ def test_stale_entry_reads_no_blob(tmp_path, monkeypatch):
 
 
 def _assert_single_valid_entry(root, X, y, length):
-    X2, y2, length2, _ = load(root, "demo", OPTIONS)
+    X2, y2, length2, _ = load(root, "demo")
     np.testing.assert_array_equal(X2, X)
     np.testing.assert_array_equal(y2, y)
     np.testing.assert_array_equal(length2, length)
@@ -245,7 +260,7 @@ def test_writer_losing_the_rename_keeps_the_winner(tmp_path, monkeypatch, primed
     directory and must drop its own copy."""
     X, y, length = sample_tensors()
     if primed:
-        save(tmp_path, "demo", X + 5.0, y, length, OPTIONS)
+        save(tmp_path, "demo", X + 5.0, y, length)
     final = entry_dir(tmp_path, "demo")
     real_replace = os.replace
     raced = []
@@ -253,11 +268,11 @@ def test_writer_losing_the_rename_keeps_the_winner(tmp_path, monkeypatch, primed
     def racing_replace(src, dst):
         if Path(dst) == final and not raced:
             raced.append(src)
-            save(tmp_path, "demo", X, y, length, OPTIONS)  # the other writer
+            save(tmp_path, "demo", X, y, length)  # the other writer
         return real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", racing_replace)
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     monkeypatch.undo()
     assert raced
     _assert_single_valid_entry(tmp_path, X, y, length)
@@ -267,7 +282,7 @@ def test_writer_finding_the_entry_moved_away_still_publishes(tmp_path, monkeypat
     """Both writers see the old entry; the other one moves it aside just
     before this writer tries to."""
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X + 5.0, y, length, OPTIONS)
+    save(tmp_path, "demo", X + 5.0, y, length)
     final = entry_dir(tmp_path, "demo")
     other_trash = tmp_path / ".torchtime" / ".demo.old-other"
     real_replace = os.replace
@@ -278,7 +293,7 @@ def test_writer_finding_the_entry_moved_away_still_publishes(tmp_path, monkeypat
         return real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", racing_replace)
-    save(tmp_path, "demo", X, y, length, OPTIONS)
+    save(tmp_path, "demo", X, y, length)
     monkeypatch.undo()
     assert other_trash.is_dir()
     shutil.rmtree(other_trash)  # the other writer's own clean-up

@@ -201,6 +201,20 @@ def test_validate_intact_and_corrupt(prepared_arrowhead, capsys):
     assert "y_train.bin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("shape", [7, 7, 7]), ("dtype", "f32")])
+def test_validate_header_differing_from_its_files_entry_exits_1(
+    prepared_arrowhead, capsys, field, value
+):
+    out = prepared_dir(prepared_arrowhead)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"]["X_train.bin"][field] = value
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["validate", out]) == 1
+    assert capsys.readouterr().err == f"corrupt: {out / 'X_train.bin'}\n"
+
+
 def test_validate_cache_entry(prepared_arrowhead, capsys):
     cache = entry_dir(prepared_arrowhead, "uea_arrowhead")
     assert run(["validate", cache]) == 0

@@ -17,7 +17,8 @@ from tsprep import export, tensorfile
 from tsprep.export import export_prepared, read_manifest, verify_manifest_files, write_prepared
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Channel, ChannelLayout, Dataset, channel_stats
-from tsprep.tensorfile import DTYPE_OF_CODE, HEADER_SIZE, MAGIC, ManifestError, read_tensor
+from tsprep.tensorfile import DTYPE_OF_CODE, HEADER_SIZE, MAGIC, ManifestError, TensorFileError
+from tsprep.tensorfile import read_tensor
 from tsprep.util import staged_dir
 
 OLD, NEW = 5.0, 1.0  # value offsets of the directory replaced and of its replacement
@@ -219,6 +220,14 @@ def test_manifest_split_name_outside_the_split_set_is_rejected(src):
     _edit_manifest(src, lambda m: m["split_sizes"].__setitem__("../escaped", 2))
     with pytest.raises(ManifestError, match="split"):
         read_manifest(src)
+
+
+@pytest.mark.parametrize("field, value", [("shape", [7, 7, 7]), ("dtype", "f32")])
+def test_export_refuses_a_header_differing_from_its_files_entry(tmp_path, src, field, value):
+    _edit_manifest(src, lambda m: m["files"]["X_train.bin"].__setitem__(field, value))
+    with pytest.raises(TensorFileError, match="X_train.bin.*manifest states"):
+        export_prepared(src, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------- known answers

@@ -130,8 +130,8 @@ OUTCOMES = """RecordID,SAPS-I,SOFA,Length_of_stay,Survival,In-hospital_death
 def test_outcomes_map():
     outcomes = parse_outcomes_2012(OUTCOMES)
     assert len(outcomes) == 2
-    assert outcomes["132539"].in_hospital_death == 0
-    assert outcomes["132540"].in_hospital_death == 1
+    assert outcomes["132539"] == 0
+    assert outcomes["132540"] == 1
 
 
 def test_outcomes_duplicate_rejected():

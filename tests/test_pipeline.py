@@ -1,6 +1,7 @@
 import itertools
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -331,6 +332,59 @@ def test_bad_proportions_rejected(arrowhead_root):
 def test_missing_raw_sources_is_build_error(tmp_path):
     with pytest.raises(BuildError, match="step 1"):
         build(arrowhead_config(tmp_path))
+
+
+def _empty_record_tree(root, kind):
+    """Raw files of ``kind`` whose only record has no time series rows."""
+    raw = root / ".torchtime" / "raw" / kind
+    if kind == "physionet2012":
+        (raw / "set-a").mkdir(parents=True)
+        (raw / "set-a" / "132599.txt").write_text(
+            "Time,Parameter,Value\n00:00,RecordID,132599\n00:00,Age,54\n"
+        )
+        (raw / "Outcomes-a.txt").write_text("RecordID,In-hospital_death\n132599,0\n")
+    else:
+        (raw / "training_setA").mkdir(parents=True)
+        (raw / "training_setA" / "p000000.psv").write_text("HR|ICULOS|SepsisLabel\n")
+
+
+@pytest.mark.parametrize("kind", ["physionet2012", "physionet2019", "physionet2019binary"])
+def test_empty_record_set_fails_at_step_1(tmp_path, kind):
+    _empty_record_tree(tmp_path, kind.replace("binary", ""))
+    config = PipelineConfig(dataset=kind, split="train", train_prop=0.7, seed=1, path=tmp_path)
+    with pytest.raises(BuildError, match="step 1 .*no usable records"):
+        build(config)
+    assert not entry_dir(tmp_path, kind).exists()
+
+
+def test_uea_names_differing_in_case_share_one_cache_entry(arrowhead_root, copy_tree, monkeypatch):
+    root = copy_tree(arrowhead_root)
+    shutil.rmtree(entry_dir(root, "uea_arrowhead"), ignore_errors=True)  # other tests' build
+    saved = []
+    real_save = cache_store.save
+    monkeypatch.setattr(cache_store, "save", lambda *a, **k: saved.append(a[1]) or real_save(*a, **k))
+    builds = [build(arrowhead_config(root, dataset=name)) for name in ("ArrowHead", "arrowhead", "ArrowHead")]
+    assert saved == ["uea_arrowhead"]
+    assert {b.X_full.tobytes() for b in builds} == {builds[0].X_full.tobytes()}
+
+
+def test_interrupt_inside_a_step_propagates_unchanged(arrowhead_root, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "_assemble_channels", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        build(arrowhead_config(arrowhead_root))
+
+
+def test_error_inside_a_step_names_the_step(arrowhead_root, monkeypatch):
+    def failing(*args):
+        raise ValueError("no room")
+
+    monkeypatch.setattr(pipeline, "_assemble_channels", failing)
+    with pytest.raises(BuildError, match=r"^step 4 \(append time/mask/delta channels\): no room$") as info:
+        build(arrowhead_config(arrowhead_root))
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_master_cache_survives_post_cache_option_changes(arrowhead_root, copy_tree):

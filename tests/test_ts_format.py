@@ -204,22 +204,21 @@ def test_equal_length_flag_requires_serieslength_consistency():
 # -------------------------------------------------------------------- merge
 
 
-def mk(n, channels=1, label="a", source="train_file"):
+def mk(n, channels=1, label="a"):
     return [
         RawSeries(
             channels=[np.arange(3.0) + i for _ in range(channels)],
             label=label,
-            source_file=source,
         )
         for i in range(n)
     ]
 
 
 def test_merge_concatenates_train_first():
-    train, test = mk(2), mk(3, source="test_file")
+    train, test = mk(2), mk(3, label="b")
     pool = merge_train_test(train, test)
     assert len(pool) == 5
-    assert [s.source_file for s in pool] == ["train_file"] * 2 + ["test_file"] * 3
+    assert [s.label for s in pool] == ["a"] * 2 + ["b"] * 3
     assert pool[0] is train[0] and pool[2] is test[0]
 
 
