@@ -375,3 +375,89 @@ def test_unknown_method_rejected():
             "median",
             np.zeros(1),
         )
+
+
+# ------------------------------------------- known answers for the index kernels
+
+
+def reference_time_delta(times, mask, lengths):
+    """The delta as first written: a -1 sentinel for "not observed yet", a
+    stacked sentinel row for "strictly before", a clip and a second where."""
+    n, s, m = mask.shape
+    out = np.empty((n, s, m))
+    for i in range(n):
+        L = int(lengths[i])
+        out[i, L:, :] = np.nan
+        if L == 0:
+            continue
+        t = times[i, :L]
+        observed = mask[i, :L, :] == 1.0
+        steps = np.arange(L)[:, None]
+        last = np.maximum.accumulate(np.where(observed, steps, -1), axis=0)
+        prev = np.vstack([np.full((1, m), -1), last[:-1]])
+        prev_time = np.where(prev >= 0, t[np.clip(prev, 0, None)], t[0])
+        out[i, :L, :] = t[:, None] - prev_time
+        out[i, 0, :] = 0.0
+    return out
+
+
+def reference_forward_fill(block, fill):
+    """Forward fill as first written, with a -1 sentinel and a clip."""
+    L, d = block.shape
+    observed = ~np.isnan(block)
+    steps = np.arange(L)[:, None]
+    last = np.maximum.accumulate(np.where(observed, steps, -1), axis=0)
+    gathered = np.take_along_axis(block, np.clip(last, 0, None), axis=0)
+    return np.where(last >= 0, gathered, fill[None, :])
+
+
+def index_kernel_case(seed, n=7, s=9, d=4):
+    """Unequal lengths with a length-1 sequence, an all-missing channel, a
+    channel observed only at step 0 and irregular increasing stamps."""
+    rng = np.random.RandomState(seed)
+    lengths = rng.randint(1, s + 1, size=n).astype(np.int64)
+    lengths[0], lengths[1] = 1, s
+    X = np.full((n, s, d), np.nan)
+    times = np.full((n, s), np.nan)
+    for i, L in enumerate(lengths):
+        block = rng.randn(L, d)
+        block[rng.rand(L, d) < 0.45] = np.nan
+        block[:, 0] = np.nan  # never observed
+        block[:, 1] = np.nan
+        block[0, 1] = rng.randn()  # observed only at step 0
+        X[i, :L] = block
+        times[i, :L] = np.cumsum(rng.rand(L) + 0.25)
+    return X, times, lengths
+
+
+def same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_time_delta_known_answer(seed):
+    X, times, lengths = index_kernel_case(seed)
+    mask = observational_mask(X, lengths)
+    want = reference_time_delta(times, mask, lengths)
+    same_bytes(time_delta(times, mask, lengths), want)
+    # the delta-only path passes a boolean mask, written into a channel slice
+    out = np.zeros(mask.shape[:2] + (mask.shape[2] + 2,))
+    time_delta(times, ~np.isnan(X), lengths, out=out[:, :, 1:-1])
+    same_bytes(np.ascontiguousarray(out[:, :, 1:-1]), want)
+    same_bytes(reference_time_delta(times, ~np.isnan(X), lengths), want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("nan_fill", [False, True])
+def test_forward_fill_known_answer(seed, nan_fill):
+    X, _, lengths = index_kernel_case(seed)
+    d = X.shape[2]
+    fill = np.random.RandomState(seed).randn(d)
+    if nan_fill:
+        fill[2] = np.nan
+    want = X.copy()
+    for i, L in enumerate(lengths):
+        want[i, :L] = reference_forward_fill(X[i, :L], fill)
+    got, _ = impute(X, np.zeros((len(X), 1)), lengths, np.arange(d), "forward", fill)
+    same_bytes(got, want)
