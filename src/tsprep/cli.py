@@ -139,7 +139,7 @@ def cmd_prepare(args) -> int:
     }
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
     config = PipelineConfig(**{**flags, **parsed})
-    out_dir = Path(args.out) if args.out else Path(path) / ".torchtime" / "prepared" / config.key
+    out_dir = Path(args.out or Path(path) / cache_store.CACHE_DIRNAME / "prepared" / config.key)
     export.check_replaceable(out_dir)  # fail before the build, not after it
     dataset = build(config, workers=args.workers)
     manifest_path = export.write_prepared(dataset, config, out_dir)

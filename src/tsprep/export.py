@@ -50,10 +50,12 @@ def _config_echo(config: PipelineConfig) -> dict:
 
 
 def check_replaceable(out_dir: Path) -> None:
-    """Refuse an ``out_dir`` whose replacement would delete files tsprep did
-    not write."""
+    """Refuse an ``out_dir`` that is not a directory, or whose replacement
+    would delete files tsprep did not write."""
     if not out_dir.exists():
         return
+    if not out_dir.is_dir():
+        raise ConfigError(f"{out_dir}: not a directory; use an absent or empty directory")
     names = {p.name for p in out_dir.iterdir()}
     foreign = sorted(names - _FILE_NAMES - {"manifest.json"})
     if names and (foreign or "manifest.json" not in names):

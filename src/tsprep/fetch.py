@@ -16,9 +16,10 @@ from urllib.parse import urlparse
 
 import requests
 
+from tsprep.cache_store import CACHE_DIRNAME
 from tsprep.util import sha256_file
 
-RAW_DIRNAME = ".torchtime/raw"
+RAW_DIRNAME = f"{CACHE_DIRNAME}/raw"
 _TIMEOUT = 30
 _CHUNK = 1 << 16
 

@@ -328,40 +328,38 @@ def to_binary_2019(record: PatientRecord) -> tuple[PatientRecord, int]:
 _CHUNKS_PER_WORKER = 4
 
 
-def _parse_2012_files(paths: list[Path]) -> list[PatientRecord]:
-    return [parse_patient_2012(path.read_text()) for path in paths]
+def _parse_2012_file(path: Path) -> PatientRecord:
+    return parse_patient_2012(path.read_text())
 
 
-def _parse_2019_files(paths: list[Path]) -> list[PatientRecord]:
-    return [parse_patient_2019(path.read_text(), record_id=path.stem) for path in paths]
+def _parse_2019_file(path: Path) -> PatientRecord:
+    return parse_patient_2019(path.read_text(), record_id=path.stem)
 
 
-def _read_parallel(paths: list[Path], parse_files, workers: int) -> list[PatientRecord]:
-    """``parse_files(paths)``, spread over up to ``workers`` processes.
+def _read_parallel(paths: list[Path], parse_file, workers: int) -> list[PatientRecord]:
+    """``parse_file`` on each path, in up to ``workers`` processes.
 
-    The pool never has more processes than chunks or CPUs, and with one
-    process or fewer the files are parsed in this process. Paths are cut
-    into contiguous chunks and the results joined in path order, so the
-    output equals the serial parse for any worker count, and the first bad
-    file in path order is the one whose error is raised.
+    The pool has at most as many processes as paths or CPUs; with one or
+    none the files are parsed in this process. ``Executor.map`` sends
+    contiguous chunks, ``_CHUNKS_PER_WORKER`` per process, and returns the
+    results in path order: the output equals the serial parse for any worker
+    count, and the first bad file in path order is the one whose error is
+    raised.
     """
-    size = min(workers, os.cpu_count() or 1)
-    n_chunks = min(len(paths), _CHUNKS_PER_WORKER * size)
-    size = min(size, n_chunks)
+    size = min(workers, os.cpu_count() or 1, len(paths))
     if size <= 1:
-        return parse_files(paths)
-    bounds = [len(paths) * i // n_chunks for i in range(n_chunks + 1)]
-    chunks = [paths[a:b] for a, b in zip(bounds, bounds[1:])]
+        return [parse_file(path) for path in paths]
+    chunksize = math.ceil(len(paths) / (_CHUNKS_PER_WORKER * size))
     # The platform's default start method: fork (Linux before Python 3.14)
     # starts a worker in milliseconds, while spawn re-imports numpy in every
     # worker, which made a 2-process parse of 500 stays 3x slower than one
     # in-process parse on a 2-CPU machine.
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return [record for part in pool.map(parse_files, chunks) for record in part]
+        return list(pool.map(parse_file, paths, chunksize=chunksize))
 
 
 def _load_records(
-    directory: Path, pattern: str, parse_files, workers: int, id_key
+    directory: Path, pattern: str, parse_file, workers: int, id_key
 ) -> tuple[list[PatientRecord], int]:
     """Parse every ``pattern`` file under ``directory`` in up to ``workers``
     processes (``workers=1`` parses in this process; the output is
@@ -370,7 +368,7 @@ def _load_records(
     paths = sorted(directory.glob(pattern))
     if not paths:
         raise FileNotFoundError(f"no {pattern} record files under {directory}")
-    records = _read_parallel(paths, parse_files, workers)
+    records = _read_parallel(paths, parse_file, workers)
     kept = sorted((r for r in records if r.n_steps > 0), key=lambda r: id_key(r.record_id))
     return kept, len(records) - len(kept)
 
@@ -379,7 +377,7 @@ def load_records_2012(directory: Path, workers: int = 1) -> tuple[list[PatientRe
     """Every ``set-*/*.txt`` record under ``directory``, sorted by record id,
     and the count of those dropped for having no time series rows (see
     :func:`_load_records`)."""
-    return _load_records(directory, "set-*/*.txt", _parse_2012_files, workers, int)
+    return _load_records(directory, "set-*/*.txt", _parse_2012_file, workers, int)
 
 
 def load_outcomes_2012(directory: Path) -> dict[str, int]:
@@ -409,7 +407,7 @@ def load_records_2019(
     records.
     """
     records, dropped = _load_records(
-        directory, "training_set*/*.psv", _parse_2019_files, workers, str
+        directory, "training_set*/*.psv", _parse_2019_file, workers, str
     )
     if not binary:
         return records, np.empty(0, dtype=np.int64), dropped

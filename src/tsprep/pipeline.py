@@ -218,9 +218,7 @@ def _ingest_2019(raw: Path, workers: int, binary: bool):
     if binary:
         y = labels.astype(np.float64).reshape(-1, 1)
     else:
-        y = np.full((len(records), X.shape[1]), np.nan)
-        for i, r in enumerate(records):
-            y[i, : r.n_steps] = r.step_labels
+        y = pad_to_longest([r.step_labels[:, None] for r in records])[0][:, :, 0]
     return X, y, lengths, info
 
 
@@ -239,7 +237,18 @@ def _master(config: PipelineConfig, root: Path, workers: int):
     if not config.overwrite_cache:
         try:
             X, y, length, meta = cache_store.load(root, config.key)
-            return X, y, length, meta["dataset_info"]
+            info = meta.get("dataset_info")
+            # the blob digests do not cover dataset_info: check it against X
+            keys = {"time_channel", "channels", "mask_covers_time", "dropped_records"}
+            if not (
+                isinstance(info, dict) and keys <= info.keys()
+                and isinstance(info["channels"], list) and len(info["channels"]) + 1 == X.shape[2]
+            ):
+                raise cache_store.CacheCorrupt(
+                    f"{cache_store.entry_dir(root, config.key)}: dataset_info does not "
+                    f"describe X.bin of shape {X.shape}"
+                )
+            return X, y, length, info
         except cache_store.CacheCorrupt as err:
             logger.warning("rebuilding corrupt cache entry: %s", err)
         except cache_store.CacheMiss:

@@ -225,7 +225,9 @@ def read_manifest(directory: Path, kind: str | None = None) -> dict:
     One with ``split_sizes`` is of kind ``"prepared"`` (prepared and export
     directories), one without of kind ``"cache"``; ``kind`` None accepts
     either. ``files`` must name exactly the blobs of that kind, each with a
-    64-hex ``sha256``, a ``shape`` of non-negative ints and a known ``dtype``.
+    64-hex ``sha256``, a ``shape`` of non-negative ints and a known ``dtype``,
+    and a prepared manifest must agree with those shapes (see
+    :func:`_check_prepared`).
     """
     path = Path(directory) / "manifest.json"
     try:
@@ -261,7 +263,31 @@ def read_manifest(directory: Path, kind: str | None = None) -> dict:
             and entry.get("dtype") in DTYPE_OF_CODE
         ):
             raise ManifestError(f"{path}: malformed files entry {name!r}")
+    if kind == "prepared":
+        _check_prepared(path, manifest)
     return manifest
+
+
+def _check_prepared(path: Path, manifest: dict) -> None:
+    """A prepared manifest must agree with its own ``files`` shapes: each
+    split's size is the first dimension of its three blobs, and the channel
+    names and kinds are strings, one per last dimension of its ``X``."""
+    files = manifest["files"]
+    names, kinds = manifest.get("channels"), manifest.get("channel_kinds")
+    for split, size in manifest["split_sizes"].items():
+        for stem in ("X", "y", "length"):
+            rows = files[f"{stem}_{split}.bin"]["shape"][:1]
+            if rows != [size]:
+                raise ManifestError(f"{path}: split_sizes {split} is {size!r}, "
+                                    f"{stem}_{split}.bin has {rows[0] if rows else 'no'} rows")
+        if not (
+            isinstance(names, list) and isinstance(kinds, list)
+            and all(isinstance(text, str) for text in names + kinds)
+            and len(names) == len(kinds)
+            and files[f"X_{split}.bin"]["shape"][-1:] == [len(names)]
+        ):
+            raise ManifestError(f"{path}: channels and channel_kinds must be lists of "
+                                f"strings, one per channel of X_{split}.bin")
 
 
 def _intact(path: Path, entry: dict) -> bool:

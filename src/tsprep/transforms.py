@@ -123,10 +123,9 @@ def time_delta(
     ``times`` is the ``(n, s)`` stamp array and ``mask`` the ``(n, s, m)``
     observational mask (or any array that is 1 or True where observed).
     Row 0 is zero by definition; a missing step accumulates: delta[t] =
-    times[t] - times[last step < t with mask 1], falling back to times[0]
-    when the channel has not been observed yet. Padding stays NaN. ``out``,
-    an array of ``mask``'s shape, receives the deltas in place of a new
-    array.
+    times[t] - times[prev], where ``prev``, a running maximum, is the last
+    observed step before ``t``, or 0 if none. Padding stays NaN. ``out``, an
+    array of ``mask``'s shape, receives the deltas in place of a new array.
     """
     n, s, m = mask.shape
     if out is None:
@@ -141,13 +140,9 @@ def time_delta(
         t = times[i, :L]
         if np.isnan(t).any() or (np.diff(t) <= 0).any():
             raise ValueError(f"sequence {i}: time stamps must be strictly increasing")
-        observed = mask[i, :L, :] == 1.0
-        steps = np.arange(L)[:, None]
-        # index of the most recent observation at or before each step
-        last = np.maximum.accumulate(np.where(observed, steps, -1), axis=0)
-        prev = np.vstack([np.full((1, m), -1), last[:-1]])  # strictly before t
-        prev_time = np.where(prev >= 0, t[np.clip(prev, 0, None)], t[0])
-        out[i, :L, :] = t[:, None] - prev_time
+        observed = mask[i, : L - 1, :] == 1.0
+        prev = np.maximum.accumulate(np.where(observed, np.arange(L - 1)[:, None], 0), axis=0)
+        out[i, 1:L, :] = t[1:, None] - t[prev]
         out[i, 0, :] = 0.0
     return out
 
@@ -191,14 +186,13 @@ def build_fill(
 
 
 def _forward_fill(block: np.ndarray, fill: np.ndarray) -> np.ndarray:
-    """Carry the previous observation forward along axis 0; initial gaps take
-    the per-channel fill value."""
-    L, d = block.shape
-    observed = ~np.isnan(block)
-    steps = np.arange(L)[:, None]
-    last = np.maximum.accumulate(np.where(observed, steps, -1), axis=0)
-    gathered = np.take_along_axis(block, np.clip(last, 0, None), axis=0)
-    return np.where(last >= 0, gathered, fill[None, :])
+    """Carry the previous observation forward along axis 0: rows of ``[fill
+    | block]`` are read at the running maximum of the observed row numbers,
+    so initial gaps take row 0, the per-channel fill."""
+    rows = np.vstack([fill[None, :], block])
+    steps = np.arange(len(rows))[:, None]
+    last = np.maximum.accumulate(np.where(np.isnan(rows), 0, steps), axis=0)
+    return np.take_along_axis(rows, last, axis=0)[1:]
 
 
 def impute(

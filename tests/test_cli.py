@@ -163,6 +163,57 @@ def test_export_refuses_manifest_names_outside_the_directory(prepared_arrowhead,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["prepare", "export"])
+def test_out_at_a_file_exits_2_and_keeps_it(prepared_arrowhead, tmp_path, capsys, command):
+    out = tmp_path / "mine.txt"
+    out.write_text("keep me")
+    cache = entry_dir(prepared_arrowhead, "uea_arrowhead")
+    if command == "prepare":
+        shutil.rmtree(cache)
+        argv = ["prepare", "ArrowHead", "--train-prop", 0.7, "--seed", 1,
+                "--path", prepared_arrowhead, "--out", out]
+    else:
+        argv = ["export", prepared_dir(prepared_arrowhead), "--out", out]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {out}: not a directory; use an absent or empty directory\n"
+    assert out.read_text() == "keep me"
+    if command == "prepare":
+        assert not cache.exists(), "the out path is checked before anything is built"
+
+
+SHAPE_DISAGREEMENTS = {
+    "one_channel_name_too_many": lambda m: m["channels"].append("extra"),
+    "one_channel_kind_too_few": lambda m: m["channel_kinds"].pop(),
+    "channel_name_not_a_string": lambda m: m["channels"].__setitem__(0, 7),
+    "train_size_99": lambda m: m["split_sizes"].__setitem__("train", 99),
+    "val_size_missing_rows": lambda m: m["files"]["length_val.bin"].__setitem__("shape", []),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "info", "export"])
+@pytest.mark.parametrize("damage", sorted(SHAPE_DISAGREEMENTS))
+def test_manifest_disagreeing_with_its_files_shapes_exits_1(
+    prepared_arrowhead, tmp_path, capsys, command, damage
+):
+    """A prepared manifest must agree with its own files shapes: a split size
+    is the row count of its blobs, and channels and channel_kinds name every
+    channel of X. Anything else is an error, not a pass, a traceback or an
+    export."""
+    prepared = prepared_dir(prepared_arrowhead)
+    path = prepared / "manifest.json"
+    manifest = json.loads(path.read_text())
+    SHAPE_DISAGREEMENTS[damage](manifest)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [command, prepared] + (["--out", out] if command == "export" else [])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert "checksums match" not in captured.out
+    assert not out.exists()
+
+
 MANIFEST_DAMAGE = {
     "entry_not_an_object": lambda files: files.__setitem__("X_train.bin", "abc"),
     "files_empty": lambda files: files.clear(),
@@ -201,14 +252,19 @@ def test_validate_intact_and_corrupt(prepared_arrowhead, capsys):
     assert "y_train.bin" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("shape", [7, 7, 7]), ("dtype", "f32")])
+# None keeps a dimension: the stated shape still agrees with the manifest's
+# split sizes and channels, and differs from the header in the steps only
+@pytest.mark.parametrize("field, value", [("shape", [None, 7, None]), ("dtype", "f32")])
 def test_validate_header_differing_from_its_files_entry_exits_1(
     prepared_arrowhead, capsys, field, value
 ):
     out = prepared_dir(prepared_arrowhead)
     path = out / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["files"]["X_train.bin"][field] = value
+    entry = manifest["files"]["X_train.bin"]
+    if field == "shape":
+        value = [d if v is None else v for d, v in zip(entry["shape"], value)]
+    entry[field] = value
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert run(["validate", out]) == 1

@@ -222,9 +222,18 @@ def test_manifest_split_name_outside_the_split_set_is_rejected(src):
         read_manifest(src)
 
 
-@pytest.mark.parametrize("field, value", [("shape", [7, 7, 7]), ("dtype", "f32")])
+# None keeps a dimension: the stated shape still agrees with the manifest's
+# split sizes and channels, and differs from the header in the steps only
+@pytest.mark.parametrize("field, value", [("shape", [None, 7, None]), ("dtype", "f32")])
 def test_export_refuses_a_header_differing_from_its_files_entry(tmp_path, src, field, value):
-    _edit_manifest(src, lambda m: m["files"]["X_train.bin"].__setitem__(field, value))
+    def edit(manifest):
+        entry = manifest["files"]["X_train.bin"]
+        if field == "shape":
+            entry[field] = [d if v is None else v for d, v in zip(entry["shape"], value)]
+        else:
+            entry[field] = value
+
+    _edit_manifest(src, edit)
     with pytest.raises(TensorFileError, match="X_train.bin.*manifest states"):
         export_prepared(src, tmp_path / "out")
     assert not (tmp_path / "out").exists()

@@ -295,8 +295,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, chunks):
-        return [fn(chunk) for chunk in chunks]
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
 
 
 @pytest.mark.parametrize(
@@ -322,6 +322,27 @@ def test_2019_pool_size_is_bounded(physionet2019_root, monkeypatch, workers, cpu
     assert [r.record_id for r in records] == [r.record_id for r in serial]
     for a, b in zip(records, serial):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+class TaskCountingPool(RecordingPool):
+    """Counts the tasks ``map`` would send: one per chunk of ``chunksize``."""
+
+    tasks: list[int] = []
+
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        TaskCountingPool.tasks.append(math.ceil(len(items) / chunksize))
+        return super().map(fn, items)
+
+
+def test_pool_gets_four_chunks_per_process_in_path_order(monkeypatch):
+    monkeypatch.setattr(physionet, "ProcessPoolExecutor", TaskCountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    TaskCountingPool.tasks = []
+    paths = [f"p{i:06d}.psv" for i in range(500)]
+    # the identity as the parser: the result is the paths, in path order
+    assert physionet._read_parallel(paths, lambda x: x, workers=2) == paths
+    assert TaskCountingPool.tasks == [8]
 
 
 def test_2012_pool_size_is_bounded(physionet2012_root, monkeypatch):

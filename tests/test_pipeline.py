@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -580,3 +581,33 @@ def test_assemble_channels_equals_a_concatenate_reference(time, mask, delta, cov
     names += [f"delta_{c}" for c in cover] if delta else []
     assert layout.names == tuple(names)
     assert layout.n_channels == out.shape[2]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda info: info["channels"].append("Extra"),
+        lambda info: info["channels"].pop(),
+        lambda info: info.pop("time_channel"),
+    ],
+    ids=["one_more_name", "one_name_less", "no_time_channel"],
+)
+def test_dataset_info_disagreeing_with_X_is_rebuilt(physionet2019_root, copy_tree, caplog, edit):
+    """Blob digests do not cover dataset_info, so a hit is checked against
+    X.bin: a channel list of the wrong length or a missing key rebuilds."""
+    root = copy_tree(physionet2019_root)
+    config = PipelineConfig(dataset="physionet2019", split="train", train_prop=0.7, seed=5,
+                            path=root, overwrite_cache=True)
+    clean = build(config)
+    manifest_path = entry_dir(root, "physionet2019") / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["dataset_info"])
+    manifest_path.write_text(json.dumps(manifest))
+    with caplog.at_level(logging.WARNING):
+        rebuilt = build(dataclasses.replace(config, overwrite_cache=False))
+    assert any("corrupt" in r.message and "dataset_info" in r.message for r in caplog.records)
+    assert rebuilt.layout == clean.layout
+    assert rebuilt.X_full.tobytes() == clean.X_full.tobytes()
+    assert rebuilt.y_full.tobytes() == clean.y_full.tobytes()
+    info = json.loads(manifest_path.read_text())["dataset_info"]
+    assert len(info["channels"]) + 1 == clean.X_full.shape[2] and info["time_channel"] == "ICULOS"
