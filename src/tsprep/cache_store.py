@@ -45,7 +45,7 @@ def save(
     X: np.ndarray,
     y: np.ndarray,
     length: np.ndarray,
-    dataset_info: dict | None = None,
+    dataset_info: dict,
 ) -> None:
     """Write a cache entry through :func:`tsprep.util.staged_dir`.
 
@@ -54,7 +54,8 @@ def save(
     were written. Concurrent writers of one key do not fail: a writer whose
     rename finds another writer's entry already in place discards its own
     copy and keeps that entry, which holds the same bytes when the inputs
-    are the same.
+    are the same. ``dataset_info`` names ``X``'s channels; every read of the
+    manifest checks it against ``X``'s shape.
     """
     with staged_dir(entry_dir(root, key)) as tmp:
         files = {}
@@ -64,7 +65,7 @@ def save(
             "format_version": CACHE_FORMAT_VERSION,
             "dataset": key,
             "created_utc": datetime.now(timezone.utc).isoformat(),
-            "dataset_info": dataset_info or {},
+            "dataset_info": dataset_info,
             "files": files,
         }
         (tmp / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")

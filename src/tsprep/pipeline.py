@@ -41,7 +41,7 @@ from tsprep.tensor_core import (
     ChannelLayout,
     ChannelStats,
     Dataset,
-    append_time_channel,
+    append_time_channel,  # unused here, but perfbench/tracing.py wraps pipeline.append_time_channel
     channel_stats,
     pad_to_longest,
     standardise,  # unused here, but perfbench/tracing.py wraps pipeline.standardise
@@ -147,20 +147,16 @@ def _step(number: int, name: str):
 def _ingest_uea(raw: Path, dataset: str):
     train_path = _find_ts(raw, dataset, "TRAIN")
     test_path = _find_ts(raw, dataset, "TEST", required=False)
-    header, train = parse_ts_file(train_path.read_text())
-    test = []
+    train = parse_ts_file(train_path.read_text())
+    test = None
     if test_path is not None:
-        test_header, test = parse_ts_file(test_path.read_text())
-        if set(test_header.class_labels) != set(header.class_labels):
+        test = parse_ts_file(test_path.read_text())
+        if set(test.header.class_labels) != set(train.header.class_labels):
             raise ValueError("train/test files declare different class labels")
-    pool = merge_train_test(train, test)
+    labels, X, lengths = merge_train_test(train, test)
 
-    label_index = {label: i for i, label in enumerate(header.class_labels)}
-    y = np.eye(len(header.class_labels))[[label_index[series.label] for series in pool]]
-    matrices = [np.stack(series.channels, axis=1) for series in pool]
-    X, lengths = pad_to_longest(matrices)
-    times = [np.arange(L, dtype=np.float64) for L in lengths]
-    X = append_time_channel(X, times)
+    label_index = {label: i for i, label in enumerate(train.header.class_labels)}
+    y = np.eye(len(train.header.class_labels))[[label_index[label] for label in labels]]
     info = {
         "time_channel": "time",
         "channels": [f"dim{i}" for i in range(X.shape[2] - 1)],
@@ -237,18 +233,7 @@ def _master(config: PipelineConfig, root: Path, workers: int):
     if not config.overwrite_cache:
         try:
             X, y, length, meta = cache_store.load(root, config.key)
-            info = meta.get("dataset_info")
-            # the blob digests do not cover dataset_info: check it against X
-            keys = {"time_channel", "channels", "mask_covers_time", "dropped_records"}
-            if not (
-                isinstance(info, dict) and keys <= info.keys()
-                and isinstance(info["channels"], list) and len(info["channels"]) + 1 == X.shape[2]
-            ):
-                raise cache_store.CacheCorrupt(
-                    f"{cache_store.entry_dir(root, config.key)}: dataset_info does not "
-                    f"describe X.bin of shape {X.shape}"
-                )
-            return X, y, length, info
+            return X, y, length, meta["dataset_info"]
         except cache_store.CacheCorrupt as err:
             logger.warning("rebuilding corrupt cache entry: %s", err)
         except cache_store.CacheMiss:

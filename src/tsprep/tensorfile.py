@@ -226,8 +226,8 @@ def read_manifest(directory: Path, kind: str | None = None) -> dict:
     directories), one without of kind ``"cache"``; ``kind`` None accepts
     either. ``files`` must name exactly the blobs of that kind, each with a
     64-hex ``sha256``, a ``shape`` of non-negative ints and a known ``dtype``,
-    and a prepared manifest must agree with those shapes (see
-    :func:`_check_prepared`).
+    and the rest of the manifest must agree with those shapes (see
+    :func:`_check_prepared` and :func:`_check_cache`).
     """
     path = Path(directory) / "manifest.json"
     try:
@@ -263,15 +263,38 @@ def read_manifest(directory: Path, kind: str | None = None) -> dict:
             and entry.get("dtype") in DTYPE_OF_CODE
         ):
             raise ManifestError(f"{path}: malformed files entry {name!r}")
-    if kind == "prepared":
-        _check_prepared(path, manifest)
+    (_check_prepared if kind == "prepared" else _check_cache)(path, manifest)
     return manifest
+
+
+_DATASET_INFO_KEYS = {"time_channel", "channels", "mask_covers_time", "dropped_records"}
+
+
+def _check_cache(path: Path, manifest: dict) -> None:
+    """The blob digests do not cover a cache manifest's ``dataset_info``:
+    it must hold its four keys and name one channel per data channel of
+    ``X.bin`` (channel 0 is the time stamp)."""
+    info = manifest.get("dataset_info")
+    shape = manifest["files"]["X.bin"]["shape"]
+    if not (
+        isinstance(info, dict) and _DATASET_INFO_KEYS <= info.keys()
+        and isinstance(info["channels"], list) and [len(info["channels"]) + 1] == shape[-1:]
+    ):
+        raise ManifestError(f"{path}: dataset_info does not describe X.bin of shape {shape}")
 
 
 def _check_prepared(path: Path, manifest: dict) -> None:
     """A prepared manifest must agree with its own ``files`` shapes: each
     split's size is the first dimension of its three blobs, and the channel
-    names and kinds are strings, one per last dimension of its ``X``."""
+    names and kinds are strings, one per last dimension of its ``X``.
+    ``dataset``, ``tool`` and ``tool_version`` are strings and ``seed`` an
+    integer or null."""
+    if not (
+        all(isinstance(manifest.get(key), str) for key in ("dataset", "tool", "tool_version"))
+        and "seed" in manifest and (manifest["seed"] is None or type(manifest["seed"]) is int)
+    ):
+        raise ManifestError(f"{path}: dataset, tool and tool_version must be strings "
+                            "and seed an integer or null")
     files = manifest["files"]
     names, kinds = manifest.get("channels"), manifest.get("channel_kinds")
     for split, size in manifest["split_sizes"].items():

@@ -306,7 +306,8 @@ def test_criterion_10_cache_integrity(tmp_path):
     X[1, 4:, :] = np.nan
     y = rng.randn(3, 2)
     length = np.array([5, 4, 5], dtype=np.int64)
-    save(tmp_path, "demo", X, y, length)
+    info = {"time_channel": "t", "channels": ["a"], "mask_covers_time": False, "dropped_records": 0}
+    save(tmp_path, "demo", X, y, length, info)
     X2, y2, length2, _ = load(tmp_path, "demo")
     np.testing.assert_array_equal(X2, X)
     np.testing.assert_array_equal(y2, y)

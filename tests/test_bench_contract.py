@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tsprep import batching, cache_store, export, tensor_core
+from tsprep import batching, cache_store, export, pipeline, tensor_core
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +39,11 @@ def test_every_traced_function_resolves():
 )
 def test_names_the_benchmark_jobs_use_exist(owner, attr):
     assert hasattr(owner, attr)
+
+
+def test_series_count_hook_counts_the_series_of_a_parse():
+    """The traced benchmark reads ``ts_format.series`` from this hook on the
+    value ``pipeline.parse_ts_file`` returns."""
+    text = "@univariate false\n@classLabel true a b\n@data\n1,2:3,4:a\n5:6:b\n7:?:a\n"
+    result = pipeline.parse_ts_file(text)
+    assert load_tracing()._series_count((text,), result) == {"items": 3}

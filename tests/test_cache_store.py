@@ -24,20 +24,27 @@ def sample_tensors(seed=0):
     return X, y, length
 
 
+def info_for(X):
+    """A ``dataset_info`` naming every data channel of ``X``."""
+    channels = [f"c{i}" for i in range(X.shape[2] - 1)]
+    return {"time_channel": "t", "channels": channels, "mask_covers_time": False,
+            "dropped_records": 0}
+
+
 def test_save_load_roundtrip_bitwise(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length, dataset_info={"channels": ["a"]})
+    save(tmp_path, "demo", X, y, length, dataset_info=info_for(X))
     X2, y2, length2, meta = load(tmp_path, "demo")
     np.testing.assert_array_equal(X2, X)
     np.testing.assert_array_equal(y2, y)
     np.testing.assert_array_equal(length2, length)
     assert meta["dataset"] == "demo"
-    assert meta["dataset_info"] == {"channels": ["a"]}
+    assert meta["dataset_info"] == info_for(X)
 
 
 def test_entry_holds_only_manifest_and_blobs(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     names = sorted(p.name for p in entry_dir(tmp_path, "demo").iterdir())
     assert names == ["X.bin", "length.bin", "manifest.json", "y.bin"]
 
@@ -50,7 +57,7 @@ def test_absent_entry_is_a_distinct_miss(tmp_path):
 def _entry_of_another_key(root):
     """An entry under key "demo" whose manifest names the key "other"."""
     X, y, length = sample_tensors()
-    save(root, "other", X, y, length)
+    save(root, "other", X, y, length, info_for(X))
     entry_dir(root, "other").rename(entry_dir(root, "demo"))
 
 
@@ -65,7 +72,7 @@ def test_other_key_is_a_miss_not_corruption(tmp_path):
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_single_bit_flip_detected(tmp_path, name, position):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     target = entry_dir(tmp_path, "demo") / name
     blob = bytearray(target.read_bytes())
     index = {"first": 0, "middle": len(blob) // 2, "last": len(blob) - 1}[position]
@@ -77,7 +84,7 @@ def test_single_bit_flip_detected(tmp_path, name, position):
 
 def test_missing_blob_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     (entry_dir(tmp_path, "demo") / "y.bin").unlink()
     with pytest.raises(CacheCorrupt, match="y.bin"):
         load(tmp_path, "demo")
@@ -89,7 +96,7 @@ def read_manifest_json(root, key="demo"):
 
 def test_mangled_manifest_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     (entry_dir(tmp_path, "demo") / "manifest.json").write_text("{not json")
     with pytest.raises(CacheCorrupt, match="manifest.json"):
         load(tmp_path, "demo")
@@ -97,7 +104,7 @@ def test_mangled_manifest_is_corrupt(tmp_path):
 
 def test_files_entries_are_well_formed(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     files = read_manifest_json(tmp_path)["files"]
     assert sorted(files) == ["X.bin", "length.bin", "y.bin"]
     for name, array, code in (("X.bin", X, "f64"), ("y.bin", y, "f64"), ("length.bin", length, "i64")):
@@ -108,16 +115,16 @@ def test_files_entries_are_well_formed(tmp_path):
 
 def test_identical_data_identical_files_map(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "one", X, y, length)
-    save(tmp_path, "two", X, y, length)
+    save(tmp_path, "one", X, y, length, info_for(X))
+    save(tmp_path, "two", X, y, length, info_for(X))
     assert read_manifest_json(tmp_path, "one")["files"] == read_manifest_json(tmp_path, "two")["files"]
 
 
 def test_resave_replaces_entry(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     X2 = X + 1.0
-    save(tmp_path, "demo", X2, y, length)
+    save(tmp_path, "demo", X2, y, length, info_for(X))
     loaded, _, _, _ = load(tmp_path, "demo")
     np.testing.assert_array_equal(loaded, X2)
     leftovers = [p for p in (tmp_path / ".torchtime").iterdir() if p.name != "demo"]
@@ -132,7 +139,7 @@ def test_interrupted_save_leaves_no_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", explode)
     with pytest.raises(OSError):
-        save(tmp_path, "demo", X, y, length)
+        save(tmp_path, "demo", X, y, length, info_for(X))
     monkeypatch.undo()
     assert not entry_dir(tmp_path, "demo").exists()
     with pytest.raises(CacheAbsent):
@@ -141,7 +148,7 @@ def test_interrupted_save_leaves_no_entry(tmp_path, monkeypatch):
 
 def test_wrong_format_version_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     path = entry_dir(tmp_path, "demo") / "manifest.json"
     path.write_text(path.read_text().replace('"format_version": 2', '"format_version": 99'))
     with pytest.raises(CacheCorrupt, match="format"):
@@ -171,7 +178,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_damaged_blob_is_corrupt(tmp_path, name, corruption):
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     target = entry_dir(tmp_path, "demo") / name
     blob = bytearray(target.read_bytes())
     CORRUPTIONS[corruption](blob)
@@ -180,12 +187,13 @@ def test_damaged_blob_is_corrupt(tmp_path, name, corruption):
         load(tmp_path, "demo")
 
 
-@pytest.mark.parametrize("field, value", [("shape", [7, 7, 7]), ("dtype", "f32")])
+@pytest.mark.parametrize("field, value", [("shape", [7, 7, 3]), ("dtype", "f32")])
 def test_header_differing_from_its_files_entry_is_corrupt(tmp_path, field, value):
     """A blob whose digest matches but whose header is not the shape or
-    element type the manifest states is never loaded."""
+    element type the manifest states is never loaded. (The stated shape
+    keeps X's three channels, which ``dataset_info`` names.)"""
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     path = entry_dir(tmp_path, "demo") / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["files"]["X.bin"][field] = value
@@ -197,7 +205,7 @@ def test_header_differing_from_its_files_entry_is_corrupt(tmp_path, field, value
 def test_load_reads_each_blob_once(tmp_path, monkeypatch):
     """Verification happens while the blobs are read: no separate hash pass."""
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     reads = []
     real_open = open
 
@@ -219,7 +227,7 @@ def test_save_writes_checksums_of_written_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cache_store, "sha256_file", no_read_back)
     monkeypatch.setattr(tensorfile, "sha256_file", no_read_back)
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     monkeypatch.undo()
     directory = entry_dir(tmp_path, "demo")
     files = read_manifest_json(tmp_path)["files"]
@@ -260,7 +268,7 @@ def test_writer_losing_the_rename_keeps_the_winner(tmp_path, monkeypatch, primed
     directory and must drop its own copy."""
     X, y, length = sample_tensors()
     if primed:
-        save(tmp_path, "demo", X + 5.0, y, length)
+        save(tmp_path, "demo", X + 5.0, y, length, info_for(X))
     final = entry_dir(tmp_path, "demo")
     real_replace = os.replace
     raced = []
@@ -268,11 +276,11 @@ def test_writer_losing_the_rename_keeps_the_winner(tmp_path, monkeypatch, primed
     def racing_replace(src, dst):
         if Path(dst) == final and not raced:
             raced.append(src)
-            save(tmp_path, "demo", X, y, length)  # the other writer
+            save(tmp_path, "demo", X, y, length, info_for(X))  # the other writer
         return real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", racing_replace)
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     monkeypatch.undo()
     assert raced
     _assert_single_valid_entry(tmp_path, X, y, length)
@@ -282,7 +290,7 @@ def test_writer_finding_the_entry_moved_away_still_publishes(tmp_path, monkeypat
     """Both writers see the old entry; the other one moves it aside just
     before this writer tries to."""
     X, y, length = sample_tensors()
-    save(tmp_path, "demo", X + 5.0, y, length)
+    save(tmp_path, "demo", X + 5.0, y, length, info_for(X))
     final = entry_dir(tmp_path, "demo")
     other_trash = tmp_path / ".torchtime" / ".demo.old-other"
     real_replace = os.replace
@@ -293,7 +301,7 @@ def test_writer_finding_the_entry_moved_away_still_publishes(tmp_path, monkeypat
         return real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", racing_replace)
-    save(tmp_path, "demo", X, y, length)
+    save(tmp_path, "demo", X, y, length, info_for(X))
     monkeypatch.undo()
     assert other_trash.is_dir()
     shutil.rmtree(other_trash)  # the other writer's own clean-up

@@ -282,6 +282,69 @@ def test_validate_cache_entry(prepared_arrowhead, capsys):
     assert "X.bin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["one_channel_more", "channels_not_a_list"])
+def test_validate_cache_entry_whose_dataset_info_disagrees_with_X_exits_1(
+    prepared_arrowhead, capsys, edit
+):
+    """The blob digests do not cover dataset_info, which a build would
+    reject: validate rejects it too."""
+    cache = entry_dir(prepared_arrowhead, "uea_arrowhead")
+    path = cache / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if edit == "one_channel_more":
+        manifest["dataset_info"]["channels"].append("dim1")
+    else:
+        manifest["dataset_info"]["channels"] = "dim0"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["validate", cache]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: dataset_info") and captured.err.count("\n") == 1
+    assert "checksums match" not in captured.out
+
+
+IDENTITY_DAMAGE = {
+    **{f"no_{key}": (lambda key: lambda m: m.pop(key))(key)
+       for key in ("dataset", "seed", "tool", "tool_version")},
+    "dataset_null": lambda m: m.__setitem__("dataset", None),
+    "tool_version_number": lambda m: m.__setitem__("tool_version", 0.1),
+    "seed_string": lambda m: m.__setitem__("seed", "123"),
+    "seed_true": lambda m: m.__setitem__("seed", True),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "info", "export"])
+@pytest.mark.parametrize("damage", sorted(IDENTITY_DAMAGE))
+def test_manifest_without_its_identity_keys_exits_1(
+    prepared_arrowhead, tmp_path, capsys, command, damage
+):
+    """dataset, tool and tool_version are strings and seed an integer or
+    null; a manifest without them is an error, not a traceback."""
+    prepared = prepared_dir(prepared_arrowhead)
+    path = prepared / "manifest.json"
+    manifest = json.loads(path.read_text())
+    IDENTITY_DAMAGE[damage](manifest)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [command, prepared] + (["--out", out] if command == "export" else [])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert "checksums match" not in captured.out
+    assert not out.exists()
+
+
+def test_manifest_with_a_null_seed_is_valid(prepared_arrowhead, capsys):
+    prepared = prepared_dir(prepared_arrowhead)
+    path = prepared / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["seed"] = None
+    path.write_text(json.dumps(manifest))
+    assert run(["info", prepared]) == 0
+    assert "seed: None" in capsys.readouterr().out
+
+
 def test_info_reports_shapes_and_missingness(traj_root, copy_tree, capsys):
     root = copy_tree(traj_root)
     assert run(

@@ -17,6 +17,7 @@ import random
 import numpy as np
 import pytest
 
+from tsprep import fetch, pipeline, ts_format
 from tsprep.physionet import (
     PatientRecord,
     RecordParseError,
@@ -24,6 +25,7 @@ from tsprep.physionet import (
     parse_patient_2019,
     to_binary_2019,
 )
+from tsprep.tensor_core import append_time_channel, pad_to_longest
 from tsprep.ts_format import TsParseError, parse_ts_file
 
 # ------------------------------------------------------------- references
@@ -74,8 +76,8 @@ def reference_patient_2019(text: str, record_id: str = "") -> PatientRecord:
     )
 
 
-def reference_ts_channels(text: str) -> list[list[np.ndarray]]:
-    """Channels of every data line of a well-formed ``.ts`` file."""
+def reference_ts_series(text: str) -> list[tuple[list[np.ndarray], str]]:
+    """Channels and label of every data line of a well-formed ``.ts`` file."""
 
     def value(token: str) -> float:
         token = token.strip()
@@ -91,9 +93,18 @@ def reference_ts_channels(text: str) -> list[list[np.ndarray]]:
             in_data = True
             continue
         if in_data:
-            dims = [p.strip() for p in line.split(":")][:-1]
-            out.append([np.array([value(v) for v in d.split(",")], dtype=np.float64) for d in dims])
+            *dims, label = [p.strip() for p in line.split(":")]
+            channels = [np.array([value(v) for v in d.split(",")], dtype=np.float64) for d in dims]
+            out.append((channels, label))
     return out
+
+
+def reference_ts(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Labels, NaN-padded ``(n, max_length, d)`` array and lengths of a
+    well-formed ``.ts`` file with at least one series."""
+    series = reference_ts_series(text)
+    X, lengths = pad_to_longest([np.stack(channels, axis=1) for channels, _ in series])
+    return [label for _, label in series], X, lengths
 
 
 def same_array(a: np.ndarray, b: np.ndarray) -> None:
@@ -240,45 +251,72 @@ def test_psv_first_defect_wins():
 # ------------------------------------------------------------------ .ts
 
 TS_TOKENS = ["1.5", " 2.25 ", "?", " ? ", "-0", "1e500", "nan", "-nan", "3", "\t4.5", "1_0"]
+# without ``1_0``, which only the per-token reader accepts
+TS_LOADTXT_TOKENS = TS_TOKENS[:-1]
 
 
-def random_ts(rng: random.Random, dims: int, equal: bool) -> str:
+def random_ts(rng: random.Random, dims: int, equal: bool, tokens=TS_TOKENS) -> str:
     lines = ["@problemName R", f"@univariate {'true' if dims == 1 else 'false'}",
              f"@equalLength {'true' if equal else 'false'}", "@classLabel true a b", "@data"]
+    if equal:
+        length = rng.randint(1, 9)
+        lines.insert(3, f"@seriesLength {length}")
     for _ in range(rng.randint(1, 12)):
-        n = rng.randint(1, 9)
+        n = length if equal else rng.randint(1, 9)
         parts = []
         for _ in range(dims):
-            tokens = [rng.choice(TS_TOKENS) for _ in range(n)]
-            parts.append(" " + ",".join(tokens) + " " if rng.random() < 0.2 else ",".join(tokens))
+            chosen = [rng.choice(tokens) for _ in range(n)]
+            parts.append(" " + ",".join(chosen) + " " if rng.random() < 0.2 else ",".join(chosen))
         lines.append(":".join(parts) + ":" + rng.choice("ab"))
     return "\n".join(lines) + "\n"
 
 
 def ts_cases():
+    """(name, text): ragged files of mixed tokens, and equal-length and
+    ragged files of tokens that one ``loadtxt`` per length converts."""
     rng = random.Random(315)
-    return [(f"random{i}", random_ts(rng, 1 + i % 3, equal=False)) for i in range(30)]
+    cases = [(f"random{i}", random_ts(rng, 1 + i % 3, equal=False)) for i in range(30)]
+    rng = random.Random(1023)
+    cases += [(f"equal{i}", random_ts(rng, 1 + i % 3, True, TS_LOADTXT_TOKENS)) for i in range(12)]
+    groups = []
+    while len(groups) < 12:
+        text = random_ts(rng, 1 + len(groups) % 3, False, TS_LOADTXT_TOKENS)
+        if len(set(reference_ts(text)[2].tolist())) > 1:  # several series lengths
+            groups.append(text)
+    return cases + [(f"groups{i}", text) for i, text in enumerate(groups)]
 
 
-@pytest.mark.parametrize("name,text", ts_cases(), ids=[n for n, _ in ts_cases()])
+TS_CASES = ts_cases()
+LOADTXT_CASES = [c for c in TS_CASES if not c[0].startswith("random")]
+
+
+def same_ts(parsed: ts_format.TsFile, text: str) -> None:
+    labels, X, lengths = reference_ts(text)
+    assert parsed.labels == labels
+    same_array(parsed.lengths, lengths)
+    same_array(np.ascontiguousarray(parsed.X), X)
+
+
+@pytest.mark.parametrize("name,text", TS_CASES, ids=[n for n, _ in TS_CASES])
 def test_ts_equals_per_token_reference(name, text):
-    _, series = parse_ts_file(text)
-    want = reference_ts_channels(text)
-    assert len(series) == len(want)
-    for s, channels in zip(series, want):
-        assert len(s.channels) == len(channels)
-        for got, ref in zip(s.channels, channels):
-            same_array(got, ref)
+    same_ts(parse_ts_file(text), text)
+
+
+@pytest.mark.parametrize("name,text", LOADTXT_CASES, ids=[n for n, _ in LOADTXT_CASES])
+def test_ts_loadtxt_cases_never_read_per_token(name, text, monkeypatch):
+    def per_token(*args):
+        raise AssertionError("the per-token reader ran")
+
+    monkeypatch.setattr(ts_format, "_read_per_token", per_token)
+    same_ts(parse_ts_file(text), text)
 
 
 def test_ts_unequal_length_series_bitwise():
     text = ("@univariate false\n@classLabel true a\n@data\n"
             "1,?,3:4,5,6:a\n7:?:a\n ? , 1e500 ,-0 : -nan,2,? :a\n")
-    _, series = parse_ts_file(text)
-    assert [s.length for s in series] == [3, 1, 3]
-    for s, channels in zip(series, reference_ts_channels(text)):
-        for got, ref in zip(s.channels, channels):
-            same_array(got, ref)
+    parsed = parse_ts_file(text)
+    assert parsed.lengths.tolist() == [3, 1, 3]
+    same_ts(parsed, text)
 
 
 TS_DEFECTS = [
@@ -294,6 +332,21 @@ TS_DEFECTS = [
      "line 5: expected 3 dimensions, got 2"),
     ("unequal_channels", "@univariate false\n@classLabel true a\n@data\n1,2:3:a\n",
      "line 4: unequal channel lengths within series"),
+    # loadtxt would read ``#`` as the start of a comment without comments=None
+    ("comment_sign", "@classLabel true a\n@data\n1,1#2:a\n", "invalid value '1#2'"),
+    ("double_question_mark", "@classLabel true a\n@data\n1,??:a\n", "invalid value '??'"),
+    ("question_mark_suffix", "@classLabel true a\n@data\n1?,2:a\n", "invalid value '1?'"),
+    # ``nan`` must stand in for whole ``?`` tokens only: ``-nan`` is a float
+    ("signed_question_mark", "@classLabel true a\n@data\n1, -? :a\n", "invalid value '-?'"),
+    ("defect_after_good_lines", "@classLabel true a\n@data\n1,2:a\n3,4:a\n# c\n5,x:a\n6,7:a\n",
+     "invalid value 'x'"),
+    ("structure_after_good_lines",
+     "@univariate false\n@classLabel true a\n@data\n1:2:a\n3,4:5,6:a\n7,8:9:a\n",
+     "line 6: unequal channel lengths within series"),
+    ("bad_token_and_unequal_dimensions",
+     "@univariate false\n@classLabel true a\n@data\n1,x:3:a\n", "invalid value 'x'"),
+    ("bad_token_before_bad_label", "@classLabel true a\n@data\n1,x:a\n1,2:b\n",
+     "invalid value 'x'"),
 ]
 
 
@@ -303,6 +356,26 @@ def test_ts_single_defect_same_error(name, text, message):
         parse_ts_file(text)
     assert type(err.value) is TsParseError
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------- the UEA master
+
+
+@pytest.mark.parametrize("tree,name", [("arrowhead_root", "ArrowHead"), ("traj_root", "Traj3")])
+def test_uea_master_equals_padded_reference_channels(request, tree, name):
+    raw = fetch.raw_dir(request.getfixturevalue(tree), name.lower())
+    X, y, lengths, _ = pipeline._ingest_uea(raw, name)
+    series = [
+        s
+        for part in ("TRAIN", "TEST")
+        for s in reference_ts_series((raw / f"{name}_{part}.ts").read_text())
+    ]
+    padded, want_lengths = pad_to_longest([np.stack(channels, axis=1) for channels, _ in series])
+    want = append_time_channel(padded, [np.arange(L, dtype=np.float64) for L in want_lengths])
+    same_array(X, want)
+    same_array(lengths, want_lengths)
+    classes = sorted({label for _, label in series})  # the fixtures declare them sorted
+    same_array(y, np.eye(len(classes))[[classes.index(label) for _, label in series]])
 
 
 # ------------------------------------------------------- directory loading

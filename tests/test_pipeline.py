@@ -3,6 +3,7 @@ import itertools
 import json
 import logging
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,18 @@ def test_empty_record_set_fails_at_step_1(tmp_path, kind):
     with pytest.raises(BuildError, match="step 1 .*no usable records"):
         build(config)
     assert not entry_dir(tmp_path, kind).exists()
+
+
+def test_uea_files_without_series_fail_at_step_1(tmp_path):
+    raw = tmp_path / ".torchtime" / "raw" / "arrowhead"
+    raw.mkdir(parents=True)
+    for part in ("TRAIN", "TEST"):
+        (raw / f"ArrowHead_{part}.ts").write_text("@classLabel true 0 1\n@data\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no group, so no loadtxt "no data" warning
+        with pytest.raises(BuildError, match="step 1 .*no series"):
+            build(arrowhead_config(tmp_path))
+    assert not entry_dir(tmp_path, "uea_arrowhead").exists()
 
 
 def test_uea_names_differing_in_case_share_one_cache_entry(arrowhead_root, copy_tree, monkeypatch):

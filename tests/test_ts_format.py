@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tsprep import ts_format
 from tsprep.ts_format import (
-    RawSeries,
+    TsFile,
     TsParseError,
     merge_train_test,
     TsHeader,
@@ -20,21 +21,26 @@ MINIMAL = """@problemName Tiny
 """
 
 
+def channel(parsed: TsFile, i: int, j: int) -> np.ndarray:
+    """Dimension ``j`` of series ``i``, without its padding."""
+    return parsed.X[i, : parsed.lengths[i], j]
+
+
 def test_smallest_wellformed_file():
-    header, series = parse_ts_file(MINIMAL)
+    parsed = parse_ts_file(MINIMAL)
+    header = parsed.header
     assert header.problem_name == "Tiny"
     assert header.univariate
     assert header.class_labels == ("a",)
-    assert len(series) == 1
-    assert series[0].label == "a"
-    np.testing.assert_array_equal(series[0].channels[0], [1.0, 2.0])
+    assert parsed.labels == ["a"]
+    np.testing.assert_array_equal(parsed.X, [[[1.0], [2.0]]])
+    np.testing.assert_array_equal(parsed.lengths, [2])
 
 
 def test_question_mark_becomes_nan():
     text = MINIMAL.replace("@classLabel true a", "@classLabel true a b")
     text = text.replace("1.0,2.0:a", "1.0,?,3.0:b")
-    _, series = parse_ts_file(text)
-    values = series[0].channels[0]
+    values = channel(parse_ts_file(text), 0, 0)
     assert values[0] == 1.0 and values[2] == 3.0
     assert math.isnan(values[1])
 
@@ -52,9 +58,10 @@ def test_univariate_three_class_file():
     ]
     for i in range(36):
         lines.append(",".join(f"{v:.3f}" for v in rng.randn(251)) + f":{i % 3}")
-    header, series = parse_ts_file("\n".join(lines))
-    assert len(series) == 36
-    assert all(s.length == 251 and s.n_channels == 1 for s in series)
+    header, labels, X, lengths = parse_ts_file("\n".join(lines))
+    assert len(labels) == 36
+    assert X.shape == (36, 251, 1)
+    assert (lengths == 251).all()
     assert header.series_length == 251
 
 
@@ -68,8 +75,8 @@ def test_series_count_equals_data_lines():
             continue
         lines.append(",".join(str(v) for v in rng.randn(4)) + ":x")
         n_data += 1
-    _, series = parse_ts_file("\n".join(lines))
-    assert len(series) == n_data
+    _, labels, X, lengths = parse_ts_file("\n".join(lines))
+    assert len(labels) == len(X) == len(lengths) == n_data
 
 
 def test_multivariate_dimensions():
@@ -81,23 +88,22 @@ def test_multivariate_dimensions():
 1,2,3:4,5,6:a
 7,8,9:1,1,1:b
 """
-    header, series = parse_ts_file(text)
-    assert not header.univariate
-    assert series[0].n_channels == 2
-    np.testing.assert_array_equal(series[1].channels[1], [1, 1, 1])
+    parsed = parse_ts_file(text)
+    assert not parsed.header.univariate
+    assert parsed.X.shape[2] == 2
+    np.testing.assert_array_equal(channel(parsed, 1, 1), [1, 1, 1])
 
 
 def test_whitespace_tolerated():
     text = "@classLabel true a\n@data\n 1.0 , 2.0 : a \n"
-    _, series = parse_ts_file(text)
-    np.testing.assert_array_equal(series[0].channels[0], [1.0, 2.0])
-    assert series[0].label == "a"
+    parsed = parse_ts_file(text)
+    np.testing.assert_array_equal(channel(parsed, 0, 0), [1.0, 2.0])
+    assert parsed.labels == ["a"]
 
 
 def test_all_missing_channel_parses():
     text = "@classLabel true a\n@data\n?,?,?:a\n"
-    _, series = parse_ts_file(text)
-    assert np.isnan(series[0].channels[0]).all()
+    assert np.isnan(channel(parse_ts_file(text), 0, 0)).all()
 
 
 def test_dimension_without_missing_values_is_converted_at_once(monkeypatch):
@@ -105,23 +111,35 @@ def test_dimension_without_missing_values_is_converted_at_once(monkeypatch):
     real = ts_format._parse_value
     monkeypatch.setattr(ts_format, "_parse_value", lambda t: calls.append(t) or real(t))
     text = "@univariate false\n@classLabel true a\n@data\n1.5, 2 ,3:?,4,5:a\n"
-    _, series = parse_ts_file(text)
-    assert calls == ["?", "4", "5"]  # only the dimension holding a ? goes token by token
-    np.testing.assert_array_equal(series[0].channels[0], [1.5, 2.0, 3.0])
+    parsed = parse_ts_file(text)
+    assert calls == []  # the whole file, ``?`` included, goes through one loadtxt
+    np.testing.assert_array_equal(channel(parsed, 0, 0), [1.5, 2.0, 3.0])
+    np.testing.assert_array_equal(channel(parsed, 0, 1), [np.nan, 4.0, 5.0])
+
+
+def test_file_without_series_parses_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsed = parse_ts_file("@classLabel true a\n@data\n# only a comment\n")
+    assert parsed.labels == [] and parsed.X.shape[0] == 0 and parsed.lengths.shape == (0,)
 
 
 def test_crlf_accepted():
-    header, series = parse_ts_file(MINIMAL.replace("\n", "\r\n"))
-    assert len(series) == 1
+    assert parse_ts_file(MINIMAL.replace("\n", "\r\n")).labels == ["a"]
 
 
-def serialize_ts(header: TsHeader, series: list[RawSeries]) -> str:
+def serialize_ts(parsed: TsFile) -> str:
     """Render header and series back to ``.ts`` text.
 
     Values use ``repr`` formatting, so parse -> serialize -> parse is exact,
     NaN positions included.
     """
-    missing = any(np.isnan(c).any() for s in series for c in s.channels)
+    header = parsed.header
+    missing = any(
+        np.isnan(channel(parsed, i, j)).any()
+        for i in range(len(parsed.labels))
+        for j in range(parsed.X.shape[2])
+    )
     lines = []
     if header.problem_name:
         lines.append(f"@problemName {header.problem_name}")
@@ -133,12 +151,12 @@ def serialize_ts(header: TsHeader, series: list[RawSeries]) -> str:
         lines.append(f"@seriesLength {header.series_length}")
     lines.append("@classLabel true " + " ".join(header.class_labels))
     lines.append("@data")
-    for s in series:
+    for i, label in enumerate(parsed.labels):
         dims = [
-            ",".join("?" if math.isnan(v) else repr(float(v)) for v in channel)
-            for channel in s.channels
+            ",".join("?" if math.isnan(v) else repr(float(v)) for v in channel(parsed, i, j))
+            for j in range(parsed.X.shape[2])
         ]
-        lines.append(":".join(dims) + ":" + s.label)
+        lines.append(":".join(dims) + ":" + label)
     return "\n".join(lines) + "\n"
 
 
@@ -159,14 +177,12 @@ def test_roundtrip_serialize_parse():
             vals[rng.rand(L) < 0.3] = np.nan
             dims.append(",".join("?" if np.isnan(v) else repr(float(v)) for v in vals))
         text_lines.append(":".join(dims) + (":p" if i % 2 else ":q"))
-    header, series = parse_ts_file("\n".join(text_lines))
-    header2, series2 = parse_ts_file(serialize_ts(header, series))
-    assert header2 == header
-    assert len(series2) == len(series)
-    for a, b in zip(series, series2):
-        assert a.label == b.label
-        for ca, cb in zip(a.channels, b.channels):
-            np.testing.assert_array_equal(ca, cb)  # NaN positions included
+    parsed = parse_ts_file("\n".join(text_lines))
+    again = parse_ts_file(serialize_ts(parsed))
+    assert again.header == parsed.header
+    assert again.labels == parsed.labels
+    np.testing.assert_array_equal(again.lengths, parsed.lengths)
+    np.testing.assert_array_equal(again.X, parsed.X)  # NaN positions included
 
 
 # ------------------------------------------------------------------- errors
@@ -197,34 +213,48 @@ def test_malformed_inputs_raise(text, match):
 def test_equal_length_flag_requires_serieslength_consistency():
     # equalLength false ignores any declared seriesLength
     text = "@equalLength false\n@seriesLength 5\n@classLabel true a\n@data\n1,2:a\n"
-    header, series = parse_ts_file(text)
-    assert header.series_length is None
+    assert parse_ts_file(text).header.series_length is None
 
 
 # -------------------------------------------------------------------- merge
 
 
-def mk(n, channels=1, label="a"):
-    return [
-        RawSeries(
-            channels=[np.arange(3.0) + i for _ in range(channels)],
-            label=label,
-        )
-        for i in range(n)
-    ]
+def mk(n, channels=1, label="a", length=3):
+    """A parsed file of ``n`` series: series ``i`` holds ``i, i + 1, ...``
+    in every dimension."""
+    header = TsHeader("M", channels == 1, None, False, ("a", "b"))
+    X = np.arange(length)[None, :, None] + np.arange(n)[:, None, None] + np.zeros(channels)
+    return TsFile(header, [label] * n, X.astype(np.float64), np.full(n, length, dtype=np.int64))
 
 
 def test_merge_concatenates_train_first():
-    train, test = mk(2), mk(3, label="b")
-    pool = merge_train_test(train, test)
-    assert len(pool) == 5
-    assert [s.label for s in pool] == ["a"] * 2 + ["b"] * 3
-    assert pool[0] is train[0] and pool[2] is test[0]
+    train, test = mk(2), mk(3, label="b", length=5)
+    labels, X, lengths = merge_train_test(train, test)
+    assert labels == ["a"] * 2 + ["b"] * 3
+    np.testing.assert_array_equal(lengths, [3, 3, 5, 5, 5])
+    assert X.shape == (5, 5, 2)
+    np.testing.assert_array_equal(X[:2, :3, 1:], train.X)
+    np.testing.assert_array_equal(X[2:, :, 1:], test.X)
+    assert np.isnan(X[:2, 3:]).all()  # padding, step index included
+
+
+def test_merge_channel_zero_is_the_step_index():
+    _, X, _ = merge_train_test(mk(1, channels=2, length=2), mk(1, channels=2, length=4))
+    np.testing.assert_array_equal(X[:, :, 0], [[0, 1, np.nan, np.nan], [0, 1, 2, 3]])
 
 
 def test_merge_empty_test_is_identity():
     train = mk(4)
-    assert merge_train_test(train, []) == train
+    for test in (None, mk(0)):
+        labels, X, lengths = merge_train_test(train, test)
+        assert labels == train.labels
+        np.testing.assert_array_equal(X[:, :, 1:], train.X)
+        np.testing.assert_array_equal(lengths, train.lengths)
+
+
+def test_merge_without_series_rejected():
+    with pytest.raises(TsParseError, match="no series"):
+        merge_train_test(mk(0), mk(0))
 
 
 def test_merge_channel_mismatch_rejected():
