@@ -1,23 +1,21 @@
 """On-disk cache of the processed master dataset with SHA256 validation.
 
 Layout: ``<root>/.torchtime/<key>/`` holds ``X.bin``, ``y.bin``, ``length.bin``
-at full precision and a ``manifest.json`` (:mod:`tsprep.tensorfile`) that
-also records ``format_version``, ``dataset`` (the key, the entry's only
-identity) and ``dataset_info``. Entries are published whole by
-:func:`tsprep.util.staged_dir`, so readers only ever see absent, old or
-complete entries; one from before format 2 has no manifest and is rebuilt.
+at full precision and a ``manifest.json`` of kind ``"cache"``
+(:data:`tsprep.tensorfile.SCHEMA`) that also records ``dataset`` (the key,
+the entry's only identity) and ``dataset_info``. Entries are published whole
+by :func:`tsprep.tensorfile.publish`, so readers only ever see absent, old
+or complete entries; one from before format 2 has no manifest and is rebuilt.
 """
 
 import hashlib
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from tsprep.tensorfile import CACHE_BLOBS, CACHE_FORMAT_VERSION, ManifestError, TensorFileError
-from tsprep.tensorfile import check_entry, file_entry, read_manifest, read_tensor, write_tensor
+from tsprep.tensorfile import CACHE_BLOBS, ManifestError, TensorFileError, check_entry, file_entry
+from tsprep.tensorfile import publish, read_manifest, read_tensor, write_tensor
 from tsprep.tensorfile import verify_dir as verify  # the one verifier, under the cache's name
-from tsprep.util import canonical_json, staged_dir
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
 
 CACHE_DIRNAME = ".torchtime"
@@ -39,36 +37,22 @@ def entry_dir(root: Path, key: str) -> Path:
     return Path(root) / CACHE_DIRNAME / key
 
 
-def save(
-    root: Path,
-    key: str,
-    X: np.ndarray,
-    y: np.ndarray,
-    length: np.ndarray,
-    dataset_info: dict,
-) -> None:
-    """Write a cache entry through :func:`tsprep.util.staged_dir`.
+def save(root: Path, key: str, X: np.ndarray, y: np.ndarray, length: np.ndarray,
+         dataset_info: dict) -> None:
+    """Write a cache entry through :func:`tsprep.tensorfile.publish`.
 
     Tensors are stored at full precision (f64/f64/i64) so a cache round trip
     is bitwise exact; the manifest holds the digests of the bytes as they
     were written. Concurrent writers of one key do not fail: a writer whose
     rename finds another writer's entry already in place discards its own
     copy and keeps that entry, which holds the same bytes when the inputs
-    are the same. ``dataset_info`` names ``X``'s channels; every read of the
-    manifest checks it against ``X``'s shape.
+    are the same. ``dataset_info`` names ``X``'s channels; the manifest is
+    checked against ``X``'s shape before it is published and on every read.
     """
-    with staged_dir(entry_dir(root, key)) as tmp:
-        files = {}
+    with publish(entry_dir(root, key), "cache",
+                 {"dataset": key, "dataset_info": dataset_info}) as (tmp, files):
         for name, array, code in zip(CACHE_BLOBS, (X, y, length), ("f64", "f64", "i64")):
             files[name] = file_entry(write_tensor(tmp / name, array, code), array, code)
-        manifest = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "dataset": key,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "dataset_info": dataset_info,
-            "files": files,
-        }
-        (tmp / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
 
 
 def load(root: Path, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -89,9 +73,9 @@ def load(root: Path, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict
         manifest = read_manifest(directory, "cache")
     except (ManifestError, OSError) as err:
         raise CacheCorrupt(str(err)) from None
-    if manifest.get("dataset") != key:
+    if manifest["dataset"] != key:
         # a stale entry is not corruption, but it cannot be used either
-        raise CacheMiss(f"{directory}: entry was built for {manifest.get('dataset')!r}")
+        raise CacheMiss(f"{directory}: entry was built for {manifest['dataset']!r}")
     arrays = []
     for name in CACHE_BLOBS:
         digest, entry = hashlib.sha256(), manifest["files"][name]

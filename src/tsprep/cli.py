@@ -161,7 +161,7 @@ def cmd_info(args) -> int:
     print(f"tool: {manifest['tool']} {manifest['tool_version']}")
     print(f"seed: {manifest['seed']}")
     print(f"split sizes: {manifest['split_sizes']}")
-    print(f"dropped records: {manifest.get('dropped_records', 0)}")
+    print(f"dropped records: {manifest['dropped_records']}")
     print("channels:")
     for name, kind in zip(manifest["channels"], manifest["channel_kinds"]):
         print(f"  {name} [{kind}]")

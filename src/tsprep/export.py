@@ -8,7 +8,8 @@ and channel layout. ``export`` converts a prepared directory to the
 requested element type (f32 by default; lengths stay i64).
 
 Both writers stage the whole directory and publish it through
-:func:`tsprep.util.staged_dir`: a rerun replaces the directory, so no blob
+:func:`tsprep.tensorfile.publish`, which checks the manifest against the
+``"prepared"`` schema first: a rerun replaces the directory, so no blob
 of an earlier run survives it and a failed run leaves the old directory as
 it was. The target must be absent, empty or a tsprep directory holding only
 ``manifest.json`` and blobs; anything else is refused, never deleted.
@@ -17,7 +18,6 @@ directory.
 """
 
 import dataclasses
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,9 @@ import tsprep
 from tsprep import tensorfile
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Dataset
-from tsprep.tensorfile import MANIFEST_VERSION, Rows, TensorFile, check_entry, file_entry
-from tsprep.tensorfile import read_tensor, split_blobs, write_tensor
+from tsprep.tensorfile import Rows, TensorFile, check_entry, file_entry, publish, read_tensor
+from tsprep.tensorfile import split_blobs, write_tensor
 from tsprep.tensorfile import verify_dir as verify_manifest_files  # the one verifier
-from tsprep.util import canonical_json, staged_dir
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
 
 _FILE_NAMES = split_blobs(SPLIT_CODES)
@@ -71,29 +70,20 @@ def write_prepared(dataset: Dataset, config: PipelineConfig, out_dir: Path) -> P
     streamed from the ``_full`` arrays by its rows, never copied whole."""
     out_dir = Path(out_dir)
     check_replaceable(out_dir)
-    with staged_dir(out_dir) as tmp:
-        files: dict[str, dict] = {}
+    fields = dict(
+        tool="tsprep", tool_version=tsprep.__version__, dataset=dataset.name,
+        config=_config_echo(config), seed=config.seed,
+        split_sizes={split: dataset.split_size(split) for split in dataset.splits},
+        channels=list(dataset.layout.names), channel_kinds=list(dataset.layout.kinds),
+        dropped_records=dataset.dropped_records,
+    )
+    with publish(out_dir, "prepared", fields) as (tmp, files):
         for split in dataset.splits:
             rows = dataset.split_rows(split)
             for stem, code in (("X", "f64"), ("y", "f64"), ("length", "i64")):
                 name = f"{stem}_{split}.bin"
                 source = Rows(getattr(dataset, f"{stem}_full"), rows)
                 files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
-        manifest = {
-            "manifest_version": MANIFEST_VERSION,
-            "tool": "tsprep",
-            "tool_version": tsprep.__version__,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "dataset": dataset.name,
-            "config": _config_echo(config),
-            "seed": config.seed,
-            "split_sizes": {split: dataset.split_size(split) for split in dataset.splits},
-            "channels": list(dataset.layout.names),
-            "channel_kinds": list(dataset.layout.kinds),
-            "dropped_records": dataset.dropped_records,
-            "files": files,
-        }
-        (tmp / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
     return out_dir / "manifest.json"
 
 
@@ -115,17 +105,12 @@ def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Pa
     prepared_dir, out_dir = Path(prepared_dir), Path(out_dir)
     manifest = read_manifest(prepared_dir)
     check_replaceable(out_dir)
-    with staged_dir(out_dir) as tmp:
-        files: dict[str, dict] = {}
+    with publish(out_dir, "prepared", {**manifest, "exported_dtype": dtype}) as (tmp, files):
         for name, entry in manifest["files"].items():
             source = TensorFile(prepared_dir / name)
             check_entry(source.path, entry, source)
             code = "i64" if name.startswith("length") else dtype
             files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
-        manifest["files"] = files
-        manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
-        manifest["exported_dtype"] = dtype
-        (tmp / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
     return out_dir / "manifest.json"
 
 

@@ -128,7 +128,7 @@ class PipelineConfig:
             raise ConfigError(
                 f"impute must be one of {transforms.IMPUTE_METHODS} or a callable"
             )
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and type(self.seed) is not int:  # a bool is no seed
             raise ConfigError("seed must be an integer")
 
 
@@ -355,7 +355,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
             split=config.split,
             has_test=config.val_prop is not None,
             name=config.dataset,
-            dropped_records=int(info.get("dropped_records", 0)),
+            dropped_records=info["dropped_records"],
         )
         dataset.split_rows(config.split)  # fail fast on an invalid selection
     return dataset

@@ -15,7 +15,9 @@ time, so no second copy of a payload is ever held.
 
 Every directory tsprep writes (cache entries, prepared directories and
 exports) holds such files plus a ``manifest.json`` whose ``files`` map gives
-each blob ``{sha256, shape, dtype}``; see :func:`read_manifest`.
+each blob ``{sha256, shape, dtype}``. This module owns that format:
+:data:`SCHEMA` lists the keys of each kind, :func:`check_manifest` checks
+them on every read (:func:`read_manifest`) and every write (:func:`publish`).
 """
 
 import hashlib
@@ -23,12 +25,15 @@ import json
 import math
 import os
 import re
+from contextlib import contextmanager
+from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from tsprep.tensor_core import SPLIT_CODES
-from tsprep.util import sha256_file
+from tsprep.tensor_core import DATA, DELTA, MASK, SPLIT_CODES, TIME
+from tsprep.util import sha256_file, staged_dir
 
 MAGIC = b"TSPREP\x01"
 HEADER_SIZE = 96
@@ -40,8 +45,6 @@ CODE_OF_KIND = {("f", 4): "f32", ("f", 8): "f64", ("i", 8): "i64"}
 MANIFEST_VERSION = 1  # manifest_version of prepared and export directories
 CACHE_FORMAT_VERSION = 2  # format_version of cache entries
 CACHE_BLOBS = ("X.bin", "y.bin", "length.bin")
-_VERSIONS = {"cache": ("format_version", CACHE_FORMAT_VERSION),
-             "prepared": ("manifest_version", MANIFEST_VERSION)}
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
@@ -219,16 +222,106 @@ def check_entry(path: Path, entry: dict, source) -> None:
         raise TensorFileError(f"{path}: header holds {found}, manifest states {stated}")
 
 
+def _integer(value) -> bool:
+    """an integer"""
+    return type(value) is int
+
+
+def _sha256(value) -> bool:
+    """64 lowercase hex digits"""
+    return type(value) is str and _SHA256.fullmatch(value) is not None
+
+
+ABSENT = object()  # the value of a key left out, allowed where a spec lists it
+_FILE = {"sha256": _sha256, "shape": [int], "dtype": tuple(DTYPE_OF_CODE)}
+# Every key of each kind of manifest and the value it must hold; other keys
+# are ignored. ``int`` is a non-negative integer (never a bool) and ``dict``
+# any object; a function tests the value; a tuple lists alternatives, each a
+# spec or an allowed value; ``[spec]`` is a list, a nested dict an object of
+# those keys and ``{str: spec}`` one of any keys. Exports are "prepared".
+SCHEMA = {
+    "cache": {
+        "format_version": (CACHE_FORMAT_VERSION,), "dataset": str, "created_utc": str,
+        "dataset_info": {"time_channel": str, "channels": [str], "mask_covers_time": bool,
+                         "dropped_records": int},
+        "files": {str: _FILE},
+    },
+    "prepared": {
+        "manifest_version": (MANIFEST_VERSION,), "tool": str, "tool_version": str,
+        "created_utc": str, "dataset": str, "config": dict, "seed": (_integer, None),
+        "split_sizes": {str: int}, "channels": [str], "channel_kinds": [(TIME, DATA, MASK, DELTA)],
+        "dropped_records": int, "exported_dtype": (ABSENT, "f32", "f64"), "files": {str: _FILE},
+    },
+}
+_WORDS = {int: "a non-negative integer", str: "a string", bool: "true or false",
+          dict: "an object", list: "a list"}
+
+
+def _fits(value, spec) -> bool:
+    """Whether ``value`` fits a spec that is not an object or a list."""
+    if isinstance(spec, tuple):
+        return any(_fits(value, alt) for alt in spec)
+    if isinstance(spec, type):
+        return type(value) is spec and (spec is not int or value >= 0)
+    return spec(value) if callable(spec) else type(value) is type(spec) and value == spec
+
+
+def _describe(spec) -> str:
+    if isinstance(spec, tuple):
+        return " or ".join(_describe(alt) for alt in spec if alt is not ABSENT)
+    if isinstance(spec, (type, dict, list)):
+        return _WORDS[spec if isinstance(spec, type) else type(spec)]
+    return spec.__doc__ if callable(spec) else json.dumps(spec)
+
+
+def _check(path: Path, value, spec, where: str) -> None:
+    """Raise :class:`ManifestError` naming the first key at or below
+    ``where`` whose value does not fit ``spec``."""
+    if isinstance(spec, dict) and type(value) is dict:
+        each = spec.get(str)  # the spec of every value of a {str: spec} object
+        for key in value if each else spec:
+            _check(path, value.get(key, ABSENT), each or spec[key],
+                   f"{where}.{key}" if where else key)
+    elif isinstance(spec, list) and type(value) is list:
+        for i, item in enumerate(value):
+            _check(path, item, spec[0], f"{where}[{i}]")
+    elif isinstance(spec, (dict, list)) or not _fits(value, spec):
+        problem = "is missing" if value is ABSENT else f"must be {_describe(spec)}"
+        raise ManifestError(f"{path}: {where or 'the manifest'} {problem}")
+
+
+def check_manifest(path: Path, manifest: dict, kind: str) -> None:
+    """Raise :class:`ManifestError` unless ``manifest`` fits ``SCHEMA[kind]``,
+    names exactly the blobs of its kind and counts what their shapes hold:
+    the rows of each split, the channels of each ``X`` (after the time stamp
+    for ``dataset_info.channels``)."""
+    _check(path, manifest, SCHEMA[kind], "")
+    files, sizes = manifest["files"], manifest.get("split_sizes", {})
+    if kind == "prepared" and not ("train" in sizes and set(sizes) <= set(SPLIT_CODES)):
+        raise ManifestError(f"{path}: split_sizes must name train, and only train, val, test")
+    expected = split_blobs(sizes) if kind == "prepared" else set(CACHE_BLOBS)
+    unknown, missing = sorted(set(files) - expected), sorted(expected - set(files))
+    if unknown or missing:
+        problem = f"unknown file name {unknown[0]!r}" if unknown else f"no entry for {missing[0]}"
+        raise ManifestError(f"{path}: {problem}")
+    if kind == "cache":
+        counts = [("dataset_info.channels", len(manifest["dataset_info"]["channels"]) + 1,
+                   "X.bin", -1)]
+    else:
+        counts = [(f"split_sizes.{split}", size, f"{stem}_{split}.bin", 0)
+                  for split, size in sizes.items() for stem in ("X", "y", "length")]
+        counts += [(key, len(manifest[key]), f"X_{split}.bin", -1)
+                   for key in ("channels", "channel_kinds") for split in sizes]
+    for key, count, name, axis in counts:
+        shape = files[name]["shape"]
+        if shape[axis:][:1] != [count]:
+            raise ManifestError(f"{path}: {key} does not describe {name} of shape {shape}")
+
+
 def read_manifest(directory: Path, kind: str | None = None) -> dict:
     """Parse and check ``<directory>/manifest.json``, else :class:`ManifestError`.
-
-    One with ``split_sizes`` is of kind ``"prepared"`` (prepared and export
-    directories), one without of kind ``"cache"``; ``kind`` None accepts
-    either. ``files`` must name exactly the blobs of that kind, each with a
-    64-hex ``sha256``, a ``shape`` of non-negative ints and a known ``dtype``,
-    and the rest of the manifest must agree with those shapes (see
-    :func:`_check_prepared` and :func:`_check_cache`).
-    """
+    One with ``split_sizes`` is of kind ``"prepared"``, one without of kind
+    ``"cache"``; ``kind`` None accepts either."""
     path = Path(directory) / "manifest.json"
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -239,78 +332,31 @@ def read_manifest(directory: Path, kind: str | None = None) -> dict:
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: not a JSON object")
     found = "prepared" if "split_sizes" in manifest else "cache"
-    kind = kind or found
-    key, version = _VERSIONS[kind]
-    if found != kind or manifest.get(key) != version:
-        raise ManifestError(f"{path}: not a {kind} manifest of {key} {version}")
-    sizes = manifest.get("split_sizes", {})
-    unknown = sorted(set(sizes) - set(SPLIT_CODES)) if isinstance(sizes, dict) else [sizes]
-    if unknown or (kind == "prepared" and "train" not in sizes):
-        raise ManifestError(f"{path}: split_sizes must name train, and only train, val, test")
-    expected = split_blobs(sizes) if kind == "prepared" else set(CACHE_BLOBS)
-    files = manifest.get("files")
-    if not isinstance(files, dict):
-        raise ManifestError(f"{path}: files must be an object")
-    unknown, missing = sorted(set(files) - expected), sorted(expected - set(files))
-    if unknown or missing:
-        problem = f"unknown file name {unknown[0]!r}" if unknown else f"no entry for {missing[0]}"
-        raise ManifestError(f"{path}: {problem}")
-    for name, entry in sorted(files.items()):
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        if not (
-            isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-            and isinstance(entry.get("sha256"), str) and _SHA256.fullmatch(entry["sha256"])
-            and entry.get("dtype") in DTYPE_OF_CODE
-        ):
-            raise ManifestError(f"{path}: malformed files entry {name!r}")
-    (_check_prepared if kind == "prepared" else _check_cache)(path, manifest)
+    if kind not in (None, found):
+        raise ManifestError(f"{path}: a {found} manifest, not a {kind} one")
+    check_manifest(path, manifest, found)
     return manifest
 
 
-_DATASET_INFO_KEYS = {"time_channel", "channels", "mask_covers_time", "dropped_records"}
+@contextmanager
+def publish(final: Path, kind: str, fields: dict) -> Iterator[tuple[Path, dict]]:
+    """Publish a tensor directory of ``kind`` whole (:func:`staged_dir`).
 
-
-def _check_cache(path: Path, manifest: dict) -> None:
-    """The blob digests do not cover a cache manifest's ``dataset_info``:
-    it must hold its four keys and name one channel per data channel of
-    ``X.bin`` (channel 0 is the time stamp)."""
-    info = manifest.get("dataset_info")
-    shape = manifest["files"]["X.bin"]["shape"]
-    if not (
-        isinstance(info, dict) and _DATASET_INFO_KEYS <= info.keys()
-        and isinstance(info["channels"], list) and [len(info["channels"]) + 1] == shape[-1:]
-    ):
-        raise ManifestError(f"{path}: dataset_info does not describe X.bin of shape {shape}")
-
-
-def _check_prepared(path: Path, manifest: dict) -> None:
-    """A prepared manifest must agree with its own ``files`` shapes: each
-    split's size is the first dimension of its three blobs, and the channel
-    names and kinds are strings, one per last dimension of its ``X``.
-    ``dataset``, ``tool`` and ``tool_version`` are strings and ``seed`` an
-    integer or null."""
-    if not (
-        all(isinstance(manifest.get(key), str) for key in ("dataset", "tool", "tool_version"))
-        and "seed" in manifest and (manifest["seed"] is None or type(manifest["seed"]) is int)
-    ):
-        raise ManifestError(f"{path}: dataset, tool and tool_version must be strings "
-                            "and seed an integer or null")
-    files = manifest["files"]
-    names, kinds = manifest.get("channels"), manifest.get("channel_kinds")
-    for split, size in manifest["split_sizes"].items():
-        for stem in ("X", "y", "length"):
-            rows = files[f"{stem}_{split}.bin"]["shape"][:1]
-            if rows != [size]:
-                raise ManifestError(f"{path}: split_sizes {split} is {size!r}, "
-                                    f"{stem}_{split}.bin has {rows[0] if rows else 'no'} rows")
-        if not (
-            isinstance(names, list) and isinstance(kinds, list)
-            and all(isinstance(text, str) for text in names + kinds)
-            and len(names) == len(kinds)
-            and files[f"X_{split}.bin"]["shape"][-1:] == [len(names)]
-        ):
-            raise ManifestError(f"{path}: channels and channel_kinds must be lists of "
-                                f"strings, one per channel of X_{split}.bin")
+    Yields ``(tmp, files)``: the caller writes its blobs into ``tmp`` and
+    their :func:`file_entry` into ``files``. Then ``fields``, the version
+    key, ``created_utc`` and ``files`` are checked (:func:`check_manifest`)
+    and written as canonical JSON (sorted keys, 2-space indent), so no
+    writer publishes a manifest that its reader would refuse."""
+    final = Path(final)
+    with staged_dir(final) as tmp:
+        files: dict[str, dict] = {}
+        yield tmp, files
+        version = next(iter(SCHEMA[kind]))  # each table lists its version key first
+        manifest = {**fields, version: SCHEMA[kind][version][0],
+                    "created_utc": datetime.now(timezone.utc).isoformat(), "files": files}
+        check_manifest(final / "manifest.json", manifest, kind)
+        text = json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        (tmp / "manifest.json").write_text(text, encoding="utf-8")
 
 
 def _intact(path: Path, entry: dict) -> bool:

@@ -50,6 +50,13 @@ def _parse_bool(token: str, directive: str) -> bool:
         raise TsParseError(f"@{directive}: expected true/false, got {token!r}") from None
 
 
+def _parse_int(token: str, directive: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise TsParseError(f"@{directive}: expected an integer, got {token!r}") from None
+
+
 def _parse_value(token: str) -> float:
     token = token.strip()
     if token == "?":
@@ -58,17 +65,6 @@ def _parse_value(token: str) -> float:
         return float(token)
     except ValueError:
         raise TsParseError(f"invalid value {token!r}") from None
-
-
-def _parse_dimension(dim: str) -> np.ndarray:
-    """One dimension's comma-separated values as a float array: one numpy
-    conversion (which converts each string as ``float`` does), or token by
-    token where a ``?`` or an invalid token makes it fail."""
-    tokens = dim.split(",")
-    try:
-        return np.array(tokens, dtype=np.float64)
-    except ValueError:
-        return np.array([_parse_value(v) for v in tokens], dtype=np.float64)
 
 
 def parse_ts_file(text: str) -> TsFile:
@@ -110,6 +106,8 @@ def parse_ts_file(text: str) -> TsFile:
         if not line.startswith("@"):
             raise TsParseError(f"line {lineno}: data before @data")
         tokens = line[1:].split()
+        if not tokens:
+            raise TsParseError(f"line {lineno}: @ without a directive name")
         name = tokens[0].lower()
         if name not in known:
             raise TsParseError(f"line {lineno}: unknown directive @{tokens[0]}")
@@ -126,17 +124,18 @@ def parse_ts_file(text: str) -> TsFile:
 
     body = lines[lineno:]
     declared = directives.get("dimension") or directives.get("dimensions")
+    declared = _parse_int(declared[0], "dimensions") if declared else None
     data = _read_whole(body, header, declared)
     if data is None:
         data = _read_per_token(body, lineno, header, declared)
     return TsFile(header, *data)
 
 
-def _expected_dims(header: TsHeader, declared: Optional[list[str]], dims: list[str]) -> int:
-    return int(declared[0]) if declared else 1 if header.univariate else len(dims)
+def _expected_dims(header: TsHeader, declared: Optional[int], dims: list[str]) -> int:
+    return declared if declared is not None else 1 if header.univariate else len(dims)
 
 
-def _read_whole(lines: list[str], header: TsHeader, declared: Optional[list[str]]):
+def _read_whole(lines: list[str], header: TsHeader, declared: Optional[int]):
     """Labels, padded array and lengths of the data lines, or ``None`` when
     a string check rejects a line or ``np.loadtxt`` refuses a value.
 
@@ -159,10 +158,7 @@ def _read_whole(lines: list[str], header: TsHeader, declared: Optional[list[str]
             return None
         dims = values.split(":")
         if not labels:
-            try:
-                d = _expected_dims(header, declared, dims)
-            except ValueError:
-                return None
+            d = _expected_dims(header, declared, dims)
         commas = dims[0].count(",")
         if len(dims) != d or any(dim.count(",") != commas for dim in dims[1:]):
             return None
@@ -188,7 +184,7 @@ def _read_whole(lines: list[str], header: TsHeader, declared: Optional[list[str]
 
 
 def _read_per_token(
-    lines: list[str], offset: int, header: TsHeader, declared: Optional[list[str]]
+    lines: list[str], offset: int, header: TsHeader, declared: Optional[int]
 ):
     """What :func:`_read_whole` returns, read line by line and token by
     token; raises the :class:`TsParseError` of the first defect."""
@@ -217,7 +213,7 @@ def _read_per_token(
                 f"line {lineno}: expected {expected_dims} dimensions, got {len(dims)}"
             )
 
-        channels = [_parse_dimension(dim) for dim in dims]
+        channels = [np.array([_parse_value(v) for v in dim.split(",")]) for dim in dims]
         lengths = {len(c) for c in channels}
         if len(lengths) != 1:
             raise TsParseError(f"line {lineno}: unequal channel lengths within series")
@@ -254,7 +250,7 @@ def _build_header(directives: dict[str, list[str]]) -> TsHeader:
         return _parse_bool(args[0], name)
 
     class_args = directives.get("classlabel")
-    if class_args is None or not _parse_bool(class_args[0], "classLabel"):
+    if not class_args or not _parse_bool(class_args[0], "classLabel"):
         raise TsParseError("classification problems require @classLabel true <labels>")
     class_labels = tuple(class_args[1:])
     if not class_labels:
@@ -266,10 +262,7 @@ def _build_header(directives: dict[str, list[str]]) -> TsHeader:
     if equal_length:
         args = directives.get("serieslength")
         if args:
-            try:
-                series_length = int(args[0])
-            except ValueError:
-                raise TsParseError("@seriesLength: expected an integer") from None
+            series_length = _parse_int(args[0], "seriesLength")
 
     name_args = directives.get("problemname", [])
     return TsHeader(

@@ -1,9 +1,8 @@
-"""Small shared helpers: hashing, canonical JSON, deterministic rounding and
+"""Small shared helpers: hashing, deterministic rounding and
 the one way tsprep publishes a directory (:func:`staged_dir`)."""
 
 import errno
 import hashlib
-import json
 import math
 import os
 import re
@@ -26,14 +25,6 @@ def sha256_file(path: Path) -> str:
                 break
             h.update(chunk)
     return h.hexdigest()
-
-
-def canonical_json(obj) -> str:
-    """Serialize to canonical JSON: sorted keys, 2-space indent, LF, trailing newline.
-
-    Byte-stable for identical inputs, so checksums of the output are stable.
-    """
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def round_half_up(x: float) -> int:

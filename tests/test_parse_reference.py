@@ -347,6 +347,13 @@ TS_DEFECTS = [
      "@univariate false\n@classLabel true a\n@data\n1,x:3:a\n", "invalid value 'x'"),
     ("bad_token_before_bad_label", "@classLabel true a\n@data\n1,x:a\n1,2:b\n",
      "invalid value 'x'"),
+    # header defects: each names its line or directive
+    ("bare_at_sign", "@\n@classLabel true a\n@data\n1:a\n", "line 1: @ without a directive name"),
+    ("class_label_without_arguments", "@classLabel\n@data\n1:a\n",
+     "classification problems require @classLabel true <labels>"),
+    ("dimensions_not_an_integer",
+     "@univariate false\n@dimensions x\n@classLabel true a\n@data\n1:2:a\n",
+     "@dimensions: expected an integer, got 'x'"),
 ]
 
 

@@ -331,6 +331,12 @@ def test_bad_proportions_rejected(arrowhead_root):
         build(arrowhead_config(arrowhead_root, impute="median"))
 
 
+def test_bool_seed_rejected(arrowhead_root):
+    """A manifest's seed is an integer or null, and true is neither."""
+    with pytest.raises(ConfigError, match="seed"):
+        build(arrowhead_config(arrowhead_root, seed=True))
+
+
 def test_missing_raw_sources_is_build_error(tmp_path):
     with pytest.raises(BuildError, match="step 1"):
         build(arrowhead_config(tmp_path))
