@@ -31,43 +31,14 @@ def _default_path() -> str:
     return os.environ.get("TSPREP_CACHE", ".")
 
 
-def _parse_missing(text: str):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"--missing expects a number or comma list, got {text!r}") from None
-    if not values:
-        raise ConfigError("--missing expects at least one value")
-    return values[0] if len(values) == 1 and "," not in text else values
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
-
-
-def _parse_channel_means(text: str) -> dict[int, float]:
-    means: dict[int, float] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            key, value = item.split("=")
-            means[int(key.strip())] = float(value.strip())
-        except ValueError:
-            raise ConfigError(
-                f"--channel-means expects entries like 1=4.5, got {item!r}"
-            ) from None
-    return means
+def _pieces(text: str) -> list[str]:
+    """The stripped, non-empty comma-separated pieces of a flag's text;
+    :class:`PipelineConfig` converts them."""
+    return [p.strip() for p in text.split(",") if p.strip()]
 
 
 def _add_prepare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("dataset", help="UEA problem name or physionet2012/2019/2019binary")
-    p.add_argument("--split", default="train", choices=["train", "val", "test"])
     p.add_argument("--train-prop", type=float, required=True)
     p.add_argument("--val-prop", type=float, default=None)
     p.add_argument("--missing", default="0", help="proportion to drop, or one per channel")
@@ -130,15 +101,23 @@ def cmd_fetch(args) -> int:
 
 def cmd_prepare(args) -> int:
     path = args.path or _default_path()
-    # every config field is the flag of the same name, except these
+    missing = _pieces(args.missing)
+    if not missing:
+        raise ConfigError("--missing expects at least one value")
+    means = [item.split("=") for item in _pieces(args.channel_means)]
+    if any(len(pair) != 2 for pair in means):
+        raise ConfigError(f"--channel-means expects items like 1=4.5, got {args.channel_means!r}")
+    # every config field is the flag of the same name, except these (a
+    # prepared directory holds every split, whichever one is bound)
     parsed = {
-        "missing": _parse_missing(args.missing),
-        "categorical": _parse_int_list(args.categorical, "--categorical"),
-        "channel_means": _parse_channel_means(args.channel_means),
+        "split": "train",
+        "missing": missing[0] if len(missing) == 1 and "," not in args.missing else missing,
+        "categorical": _pieces(args.categorical),
+        "channel_means": dict(means),
         "path": path,
     }
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
-    config = PipelineConfig(**{**flags, **parsed})
+    names = {f.name for f in dataclasses.fields(PipelineConfig)} - parsed.keys()
+    config = PipelineConfig(**parsed, **{name: getattr(args, name) for name in names})
     out_dir = Path(args.out or Path(path) / cache_store.CACHE_DIRNAME / "prepared" / config.key)
     export.check_replaceable(out_dir)  # fail before the build, not after it
     dataset = build(config, workers=args.workers)
@@ -155,8 +134,21 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _report_corrupt(entry: Path) -> bool:
+    """List the blobs of ``entry`` that fail their manifest; True if any do."""
+    bad = verify_dir(entry)
+    for name in bad:
+        print(f"corrupt: {entry / name}", file=sys.stderr)
+    return bool(bad)
+
+
 def cmd_info(args) -> int:
-    manifest = export.read_manifest(args.entry)
+    directory = Path(args.entry)
+    manifest = export.read_manifest(directory)
+    # rates first, so that a malformed header is reported as such
+    rates = export.missingness_rates(directory)
+    if _report_corrupt(directory):
+        return EXIT_RUNTIME
     print(f"dataset: {manifest['dataset']}")
     print(f"tool: {manifest['tool']} {manifest['tool_version']}")
     print(f"seed: {manifest['seed']}")
@@ -168,7 +160,6 @@ def cmd_info(args) -> int:
     print("files:")
     for name, entry in sorted(manifest["files"].items()):
         print(f"  {name}: shape={tuple(entry['shape'])} dtype={entry['dtype']}")
-    rates = export.missingness_rates(Path(args.entry))
     for split, per_channel in rates.items():
         print(f"missingness ({split}):")
         for name, rate in per_channel.items():
@@ -178,10 +169,7 @@ def cmd_info(args) -> int:
 
 def cmd_validate(args) -> int:
     entry = Path(args.entry)
-    bad = verify_dir(entry)
-    if bad:
-        for name in bad:
-            print(f"corrupt: {entry / name}", file=sys.stderr)
+    if _report_corrupt(entry):
         return EXIT_RUNTIME
     print(f"{entry}: all checksums match")
     return EXIT_OK
@@ -204,9 +192,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        BuildError, ManifestError, cache_store.CacheMiss, TensorFileError, OSError
-    ) as err:
+    except (BuildError, ManifestError, TensorFileError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

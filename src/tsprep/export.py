@@ -35,15 +35,12 @@ _FILE_NAMES = split_blobs(SPLIT_CODES)
 
 
 def _config_echo(config: PipelineConfig) -> dict:
-    """Every :class:`PipelineConfig` field, with the non-JSON ones converted."""
+    """Every :class:`PipelineConfig` field as held, but a callable ``impute``
+    becomes ``"custom"`` and ``channel_means`` keys strings, as in JSON."""
     echo = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
-    missing = config.missing
     echo.update(
-        missing=list(missing) if not np.isscalar(missing) else float(missing),
         impute="custom" if callable(config.impute) else config.impute,
-        categorical=[int(i) for i in config.categorical],
-        channel_means={str(k): float(v) for k, v in config.channel_means.items()},
-        path=str(config.path),
+        channel_means={str(k): v for k, v in config.channel_means.items()},
     )
     return echo
 

@@ -22,6 +22,7 @@ channels are 1..d (e.g. 20 is MechVent for PhysioNet 2012).
 """
 
 import logging
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,6 +100,21 @@ class PipelineConfig:
     path: Union[str, Path] = "."
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # the one conversion of each field that has more than one accepted
+        # form, so the manifest's config echo rebuilds an equal config
+        for name, convert in (
+            ("missing", lambda v: float(v) if np.ndim(v) == 0 else tuple(map(float, v))),
+            ("categorical", lambda v: tuple(map(int, v))),
+            ("channel_means", lambda v: {int(k): float(x) for k, x in dict(v).items()}),
+            ("path", os.fspath),
+        ):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, convert(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name}: cannot convert {value!r}") from None
+
     @property
     def kind(self) -> str:
         return UEA if self.dataset.lower() not in _RESERVED else self.dataset.lower()
@@ -119,7 +135,7 @@ class PipelineConfig:
         allowed = ("train", "val", "test") if self.val_prop is not None else ("train", "val")
         if self.split not in allowed:
             raise ConfigError(f"split must be one of {allowed}, got {self.split!r}")
-        props = [float(p) for p in self.missing] if not np.isscalar(self.missing) else [float(self.missing)]
+        props = self.missing if isinstance(self.missing, tuple) else (self.missing,)
         if self.kind != UEA and any(p != 0.0 for p in props):
             raise ConfigError("missing-data simulation applies to UEA datasets only")
         if any(not 0.0 <= p <= 1.0 for p in props):
@@ -255,7 +271,6 @@ def _strata(config: PipelineConfig, y: np.ndarray) -> np.ndarray:
 def _data_block_indices(d: int, indices, what: str) -> list[int]:
     out = []
     for idx in indices:
-        idx = int(idx)
         if not 1 <= idx <= d:
             raise ConfigError(
                 f"{what} index {idx} outside data channels 1..{d} "
@@ -273,27 +288,26 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
     results are byte-identical for any worker count.
     """
     config.validate()
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     root = Path(config.path)
 
     with _step(1, "cache check / ingest"):
         X, y, lengths, info = _master(config, root, workers)
     d = X.shape[2] - 1
-    if not np.isscalar(config.missing) and len(config.missing) != d:
+    if isinstance(config.missing, tuple) and len(config.missing) != d:
         raise ConfigError(f"missing list has {len(config.missing)} entries for {d} data channels")
 
-    categorical = list(config.categorical)
-    channel_means = dict(config.channel_means)
+    categorical, channel_means = config.categorical, config.channel_means
     if config.kind == PHYSIONET2012:
         categorical = sorted(set(categorical) | set(PHYSIONET_2012_CATEGORICAL))
         channel_means = {**PHYSIONET_2012_CHANNEL_MEANS, **channel_means}
     cat_cols = _data_block_indices(d, categorical, "categorical")
-    mean_overrides = {
-        _data_block_indices(d, [k], "channel_means")[0]: float(v)
-        for k, v in channel_means.items()
-    }
+    mean_cols = _data_block_indices(d, channel_means, "channel_means")
+    mean_overrides = dict(zip(mean_cols, channel_means.values()))
 
     with _step(3, "simulate missing data"):
-        if (np.asarray(config.missing, dtype=np.float64) > 0).any():
+        if np.max(config.missing) > 0:
             X = transforms.simulate_missing(X, lengths, config.missing, config.seed)
 
     with _step(4, "append time/mask/delta channels"):

@@ -223,9 +223,10 @@ class SplitSpec:
             if not 0.0 < self.train_prop < 1.0:
                 raise ValueError("train_prop must be in (0, 1)")
         else:
-            if self.train_prop <= 0.0 or self.val_prop <= 0.0:
+            # written so that a NaN proportion fails each check
+            if not (self.train_prop > 0.0 and self.val_prop > 0.0):
                 raise ValueError("train_prop and val_prop must be positive")
-            if self.train_prop + self.val_prop >= 1.0:
+            if not self.train_prop + self.val_prop < 1.0:
                 raise ValueError("train_prop + val_prop must be < 1 when val_prop is given")
 
 

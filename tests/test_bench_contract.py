@@ -3,20 +3,39 @@ checks fail when a rename or deletion would break ``perfbench/run.py
 --smoke``, so it is caught by the test suite rather than by the benchmark."""
 
 import importlib.util
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 from tsprep import batching, cache_store, export, pipeline, tensor_core
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return _load(TRACING, "perfbench_tracing")
+
+
+WORKLOADS = _load(PERFBENCH / "workloads.py", "perfbench_workloads")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_config_validates_and_its_echo_rebuilds_it(tmp_path, name):
+    config = WORKLOADS.WORKLOADS[name].config(tmp_path, 1)
+    config.validate()
+    echo = json.loads(json.dumps(export._config_echo(config)))
+    assert pipeline.PipelineConfig(**echo) == config
+    assert "workers" in inspect.signature(pipeline.build).parameters
 
 
 def test_every_traced_function_resolves():

@@ -432,3 +432,76 @@ def test_damaged_tensor_header_exits_1(prepared_arrowhead, tmp_path, capsys, com
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "X_train.bin: malformed header" in err
+
+
+def test_prepared_config_echo_rebuilds_the_config(traj_root, copy_tree):
+    from tsprep.pipeline import PipelineConfig
+
+    root = copy_tree(traj_root)
+    code = run(
+        ["prepare", "Traj3", "--train-prop", 0.6, "--missing", "0.8,0.2,0.5",
+         "--impute", "mean", "--categorical", "1", "--channel-means", "2=4.5",
+         "--mask", "--seed", 5, "--path", root]
+    )
+    assert code == 0
+    text = (root / ".torchtime" / "prepared" / "uea_traj3" / "manifest.json").read_text()
+    expected = PipelineConfig(
+        dataset="Traj3", split="train", train_prop=0.6, missing=[0.8, 0.2, 0.5],
+        impute="mean", categorical=(1,), channel_means={2: 4.5}, mask=True, seed=5,
+        path=root,
+    )
+    assert PipelineConfig(**json.loads(text)["config"]) == expected
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--categorical", "a"], "categorical"), (["--missing", "x"], "missing"),
+     (["--channel-means", "x=1"], "channel_means"), (["--channel-means", "1=2=3"], "--channel-means"),
+     (["--missing", " , "], "--missing")],
+    ids=["categorical", "missing", "channel_means_key", "channel_means_two_equals", "missing_empty"],
+)
+def test_unconvertible_flag_exits_2_before_step_1(arrowhead_root, copy_tree, capsys, flags, field):
+    root = copy_tree(arrowhead_root)
+    shutil.rmtree(entry_dir(root, "uea_arrowhead"), ignore_errors=True)
+    assert run(["prepare", "ArrowHead", "--train-prop", 0.7, "--path", root] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+    assert not entry_dir(root, "uea_arrowhead").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--train-prop", "nan", "--val-prop", 0.1], ["--train-prop", 0.7, "--val-prop", "nan"],
+     ["--train-prop", 0.7, "--workers", 0], ["--train-prop", 0.7, "--workers", -3]],
+    ids=["nan_train_prop", "nan_val_prop", "zero_workers", "negative_workers"],
+)
+def test_nan_proportion_or_fewer_than_one_worker_exits_2_before_step_1(
+    arrowhead_root, copy_tree, capsys, flags
+):
+    root = copy_tree(arrowhead_root)
+    shutil.rmtree(entry_dir(root, "uea_arrowhead"), ignore_errors=True)
+    assert run(["prepare", "ArrowHead", "--path", root] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not entry_dir(root, "uea_arrowhead").exists()
+
+
+def test_prepare_has_no_split_flag(arrowhead_root, capsys):
+    """A prepared directory holds every split, so there is none to choose."""
+    with pytest.raises(SystemExit) as excinfo:
+        run(["prepare", "ArrowHead", "--train-prop", 0.7, "--split", "val",
+             "--path", arrowhead_root])
+    assert excinfo.value.code == 2
+
+
+def test_info_on_a_corrupt_blob_exits_1_and_prints_only_the_corrupt_blobs(
+    prepared_arrowhead, capsys
+):
+    out = prepared_dir(prepared_arrowhead)
+    blob = out / "X_train.bin"
+    data = bytearray(blob.read_bytes())
+    data[HEADER_SIZE + 8] ^= 0x01  # one payload bit
+    blob.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run(["info", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"corrupt: {blob}\n"

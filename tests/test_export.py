@@ -374,3 +374,50 @@ def test_publish_sweeps_staging_directories_of_exited_writers(tmp_path):
     assert not dead.exists()
     assert live.is_dir() and other_target.is_dir()
     assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+# ------------------------------------------------------------ config echo
+# The manifest's ``config`` object is every PipelineConfig field as the
+# config holds it, so PipelineConfig(**config) rebuilds the config.
+
+ECHOED_CONFIGS = {
+    "default": {},
+    "scalar_missing": dict(missing=0.25),
+    "missing_list": dict(missing=[0.25, 0.5]),
+    "missing_array": dict(missing=np.array([0.25, 0.5])),
+    "categorical_and_channel_means": dict(categorical=[2, 10], channel_means={2: 1.5, 10: 4}),
+    "path_object": dict(path=Path("data")),
+}
+
+
+def _echo_config(**kwargs):
+    base = dict(dataset="Demo", split="train", train_prop=0.4, val_prop=0.3, seed=1)
+    return PipelineConfig(**{**base, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", list(ECHOED_CONFIGS.values()), ids=list(ECHOED_CONFIGS))
+def test_manifest_config_echo_rebuilds_the_config(tmp_path, kwargs):
+    config = _echo_config(**kwargs)
+    manifest_text = write_prepared(small_dataset(), config, tmp_path / "out").read_text()
+    assert PipelineConfig(**json.loads(manifest_text)["config"]) == config
+
+
+def test_manifest_config_echo_text(tmp_path):
+    """Known answer: the config object is written as before the config
+    converted its own values (float proportions, string keys, "10" before "2")."""
+    config = _echo_config(
+        missing=[0.25, 0.5], categorical=[2, 10], channel_means={2: 1.5, 10: 4}, path=Path("data")
+    )
+    manifest = json.loads(write_prepared(small_dataset(), config, tmp_path / "out").read_text())
+    assert json.dumps(manifest["config"], sort_keys=True) == (
+        '{"categorical": [2, 10], "channel_means": {"10": 4.0, "2": 1.5}, "dataset": "Demo", '
+        '"delta": false, "impute": "none", "mask": false, "missing": [0.25, 0.5], '
+        '"overwrite_cache": false, "path": "data", "seed": 1, "split": "train", '
+        '"standardise": false, "time": true, "train_prop": 0.4, "val_prop": 0.3}'
+    )
+
+
+def test_manifest_config_echoes_a_callable_impute_as_custom(tmp_path):
+    config = _echo_config(impute=lambda X, y, length, channels, fill: (X, y))
+    manifest = json.loads(write_prepared(small_dataset(), config, tmp_path / "out").read_text())
+    assert manifest["config"]["impute"] == "custom"

@@ -331,6 +331,29 @@ def test_bad_proportions_rejected(arrowhead_root):
         build(arrowhead_config(arrowhead_root, impute="median"))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("missing", "x"), ("missing", ["0.1", None]), ("categorical", ["a"]),
+     ("categorical", 3), ("channel_means", {"x": 1}), ("channel_means", {1: "y"}),
+     ("path", None)],
+)
+def test_unconvertible_config_value_names_its_field(arrowhead_root, field, value):
+    with pytest.raises(ConfigError, match=f"^{field}: cannot convert"):
+        arrowhead_config(arrowhead_root, **{field: value})
+
+
+def test_config_values_are_converted_once(arrowhead_root):
+    config = arrowhead_config(
+        arrowhead_root, missing=np.array([0.5]), categorical=["1"], channel_means={"1": "2"}
+    )
+    assert config.missing == (0.5,) and type(config.missing[0]) is float
+    assert config.categorical == (1,)
+    assert config.channel_means == {1: 2.0}
+    assert config.path == str(arrowhead_root)
+    assert arrowhead_config(arrowhead_root, missing="0.5").missing == 0.5
+    assert dataclasses.replace(config) == config
+
+
 def test_bool_seed_rejected(arrowhead_root):
     """A manifest's seed is an integer or null, and true is neither."""
     with pytest.raises(ConfigError, match="seed"):
