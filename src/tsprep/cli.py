@@ -86,15 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_fetch(args) -> int:
-    root = Path(args.path or _default_path())
     try:
-        dest = fetch.fetch_dataset(root, args.dataset)
+        dest = fetch.fetch_dataset(Path(args.path or _default_path()), args.dataset)
     except KeyError as err:
-        print(f"error: {err.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    except (fetch.FetchError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ConfigError(err.args[0]) from None
     print(f"raw sources ready under {dest}")
     return EXIT_OK
 
@@ -192,7 +187,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (BuildError, ManifestError, TensorFileError, OSError) as err:
+    except (BuildError, fetch.FetchError, ManifestError, TensorFileError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,20 +1,24 @@
 """Download and unpack source archives into the raw-sources directory.
 
-Supported sources are UEA/UCR repository zip bundles and the public
-PhysioNet 2012/2019 challenge files. Downloads resume from a ``.part``
-file via HTTP range requests when the server allows, verify an expected
-SHA256 when one is pinned, and are idempotent: complete verified files are
-never re-downloaded.
+:func:`source` resolves a dataset name, for ``fetch`` and the pipeline
+alike, to the PhysioNet 2012/2019 challenge files or a UEA/UCR zip bundle.
+Downloads use ``urllib`` (TLS checked against the system trust store), resume
+a ``.part`` file via HTTP range requests when the server allows, verify an
+expected SHA256 when one is pinned, and are idempotent: complete verified
+files are never re-downloaded.
 """
 
+import http.client
+import re
+import shutil
 import tarfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+from urllib.error import HTTPError
 from urllib.parse import urlparse
-
-import requests
+from urllib.request import Request, urlopen
 
 from tsprep.cache_store import CACHE_DIRNAME
 from tsprep.util import sha256_file
@@ -47,10 +51,6 @@ class SourceDescriptor:
     name: str
     files: tuple[SourceFile, ...]
 
-    def __post_init__(self) -> None:
-        if not self.files:
-            raise ValueError("descriptor needs at least one url")
-
 
 _UEA_BASE = "https://www.timeseriesclassification.com/aeon-toolkit"
 _PN2012_BASE = "https://physionet.org/files/challenge-2012/1.0.0"
@@ -82,22 +82,30 @@ REGISTRY: dict[str, SourceDescriptor] = {
     ),
 }
 # the binary variant consumes the same raw files
-REGISTRY["physionet2019binary"] = SourceDescriptor(
-    name="physionet2019", files=REGISTRY["physionet2019"].files
-)
+REGISTRY["physionet2019binary"] = REGISTRY["physionet2019"]
+
+
+def source(name: str) -> SourceDescriptor:
+    """The registry entry of dataset ``name``, else the UEA/UCR bundle of that
+    archive name; ``KeyError`` for any other name, so none leaves the root."""
+    if name.lower() in REGISTRY:
+        return REGISTRY[name.lower()]
+    if re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_-]*", name):
+        return uea_descriptor(name)
+    raise KeyError(
+        f"invalid dataset name {name!r}: use one of {', '.join(sorted(REGISTRY))} "
+        "or a UEA/UCR problem spelled as its archive is (e.g. BasicMotions)"
+    )
 
 
 def raw_dir(root: Path, name: str) -> Path:
     return Path(root) / RAW_DIRNAME / name
 
 
-def download_file(
-    source: SourceFile, dest_dir: Path, session: Optional[requests.Session] = None
-) -> Path:
-    """Fetch one file to ``dest_dir``, resuming a partial download if the
-    server honours range requests. Verifies ``source.sha256`` when set; a
-    mismatch removes the file and raises."""
-    sess = session or requests.Session()
+def download_file(source: SourceFile, dest_dir: Path) -> Path:
+    """Fetch one file to ``dest_dir``, resuming its ``.part`` file where the
+    server honours range requests; a body cut short raises and keeps what
+    arrived. A ``source.sha256`` mismatch removes the file and raises."""
     dest_dir.mkdir(parents=True, exist_ok=True)
     target = dest_dir / source.filename
     if target.exists():
@@ -106,26 +114,21 @@ def download_file(
         target.unlink()
 
     part = target.with_suffix(target.suffix + ".part")
-    headers = {}
-    mode = "wb"
-    if part.exists() and part.stat().st_size > 0:
-        headers["Range"] = f"bytes={part.stat().st_size}-"
+    offset = part.stat().st_size if part.exists() else 0
+    request = Request(source.url, headers={"Range": f"bytes={offset}-"} if offset else {})
+    failed = f"download failed for {source.url}"
     try:
-        response = sess.get(source.url, headers=headers, stream=True, timeout=_TIMEOUT)
-        if response.status_code == 206:
-            mode = "ab"
-        elif response.status_code == 416:
-            # nothing left to fetch; fall through to verification
-            response.close()
-            response = None
-        else:
-            response.raise_for_status()
-        if response is not None:
-            with open(part, mode) as f:
-                for chunk in response.iter_content(chunk_size=_CHUNK):
-                    f.write(chunk)
-    except requests.RequestException as err:
-        raise FetchError(f"download failed for {source.url}: {err}") from err
+        with urlopen(request, timeout=_TIMEOUT) as response:
+            with open(part, "ab" if response.status == 206 else "wb") as f:
+                shutil.copyfileobj(response, f, _CHUNK)
+            if response.length:  # urllib returns a short body without raising
+                raise FetchError(f"{failed}: body ended {response.length} bytes short")
+    except HTTPError as err:
+        err.close()
+        if err.code != 416:  # 416: nothing left to fetch; verify what is there
+            raise FetchError(f"{failed}: {err}") from err
+    except (OSError, http.client.HTTPException) as err:  # URLError is an OSError
+        raise FetchError(f"{failed}: {err}") from err
 
     if source.sha256 is not None and sha256_file(part) != source.sha256:
         part.unlink()
@@ -186,18 +189,13 @@ def extract(archive: Path, kind: str, dest: Path) -> list[Path]:
     return extracted
 
 
-def fetch_dataset(
-    root: Path, name: str, session: Optional[requests.Session] = None
-) -> Path:
-    """Download and extract every source file for a registered dataset name,
-    returning the raw directory. Re-running with verified complete files is
-    a no-op apart from re-extraction of archives already on disk."""
-    descriptor = REGISTRY.get(name.lower())
-    if descriptor is None:
-        supported = ", ".join(sorted(REGISTRY))
-        raise KeyError(f"unknown dataset {name!r}; supported: {supported}")
+def fetch_dataset(root: Path, name: str) -> Path:
+    """Download and extract every source file of dataset ``name`` (see
+    :func:`source`), returning the raw directory. Re-running with verified
+    complete files is a no-op apart from re-extraction of archives already
+    on disk."""
+    descriptor = source(name)
     dest = raw_dir(root, descriptor.name)
-    for source in descriptor.files:
-        archive = download_file(source, dest, session=session)
-        extract(archive, source.kind, dest)
+    for file in descriptor.files:
+        extract(download_file(file, dest), file.kind, dest)
     return dest

@@ -74,6 +74,12 @@ class BuildError(RuntimeError):
     """A pipeline step failed; the message names the step."""
 
 
+def _channel_indices(value) -> tuple[int, ...]:
+    if isinstance(value, (str, bytes)):  # "12" is not channels (1, 2)
+        raise TypeError(value)
+    return tuple(map(int, value))
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Complete argument surface of the pipeline.
@@ -105,7 +111,7 @@ class PipelineConfig:
         # form, so the manifest's config echo rebuilds an equal config
         for name, convert in (
             ("missing", lambda v: float(v) if np.ndim(v) == 0 else tuple(map(float, v))),
-            ("categorical", lambda v: tuple(map(int, v))),
+            ("categorical", _channel_indices),
             ("channel_means", lambda v: {int(k): float(x) for k, x in dict(v).items()}),
             ("path", os.fspath),
         ):
@@ -129,9 +135,10 @@ class PipelineConfig:
 
     def validate(self) -> None:
         try:
+            fetch.source(self.dataset)
             self.split_spec().validate()
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        except (KeyError, ValueError) as err:
+            raise ConfigError(err.args[0]) from None
         allowed = ("train", "val", "test") if self.val_prop is not None else ("train", "val")
         if self.split not in allowed:
             raise ConfigError(f"split must be one of {allowed}, got {self.split!r}")
@@ -236,10 +243,9 @@ def _ingest_2019(raw: Path, workers: int, binary: bool):
 
 def _ingest(config: PipelineConfig, root: Path, workers: int):
     kind = config.kind
+    raw = fetch.raw_dir(root, fetch.source(config.dataset).name)
     if kind == UEA:
-        return _ingest_uea(fetch.raw_dir(root, config.dataset.lower()), config.dataset)
-    # the binary 2019 variant reads the same raw files as the full challenge
-    raw = fetch.raw_dir(root, fetch.REGISTRY[kind].name)
+        return _ingest_uea(raw, config.dataset)
     if kind == PHYSIONET2012:
         return _ingest_2012(raw, workers)
     return _ingest_2019(raw, workers, binary=kind == PHYSIONET2019_BINARY)

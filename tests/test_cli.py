@@ -379,9 +379,20 @@ def test_env_var_cache_root(arrowhead_root, copy_tree, monkeypatch):
 
 
 def test_fetch_unknown_dataset_lists_supported(tmp_path, capsys):
-    assert run(["fetch", "bogus", "--path", tmp_path]) == 2
+    assert run(["fetch", "bogus/name", "--path", tmp_path]) == 2
     err = capsys.readouterr().err
     assert "arrowhead" in err and "physionet2012" in err
+
+
+@pytest.mark.parametrize("command", ["fetch", "prepare"])
+@pytest.mark.parametrize("name", ["../../../x", "../x", "a/b", ""])
+def test_malformed_dataset_name_exits_2_and_creates_nothing(tmp_path, capsys, command, name):
+    """A name that is neither registered nor a UEA/UCR archive name is refused
+    before any directory is made or request sent, by both commands."""
+    flags = ["--train-prop", 0.7] if command == "prepare" else []
+    assert run([command, name, "--path", tmp_path / "root"] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: invalid dataset name")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

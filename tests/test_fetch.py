@@ -1,12 +1,18 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tarfile
 import threading
 import zipfile
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import tsprep
+from tsprep import fetch
 from tsprep.fetch import (
     REGISTRY,
     FetchError,
@@ -20,10 +26,13 @@ from tsprep.fetch import (
 
 
 class FixtureServer:
-    """Serves an in-memory {path: bytes} map; optionally honours Range."""
+    """Serves an in-memory {path: bytes} map; optionally honours Range, and
+    optionally cuts the first body short after ``cut`` bytes while still
+    announcing its full Content-Length."""
 
-    def __init__(self, files, support_range=False):
+    def __init__(self, files, support_range=False, cut=None):
         self.files = files
+        self.cut = cut
         self.requests = []
         outer = self
 
@@ -37,6 +46,9 @@ class FixtureServer:
                 range_header = self.headers.get("Range")
                 if range_header and support_range:
                     start = int(range_header.split("=")[1].rstrip("-").split("-")[0])
+                    if start >= len(body):
+                        self.send_error(416)
+                        return
                     chunk = body[start:]
                     self.send_response(206)
                     self.send_header("Content-Range", f"bytes {start}-{len(body)-1}/{len(body)}")
@@ -47,7 +59,8 @@ class FixtureServer:
                     self.send_response(200)
                     self.send_header("Content-Length", str(len(body)))
                     self.end_headers()
-                    self.wfile.write(body)
+                    cut, outer.cut = outer.cut, None
+                    self.wfile.write(body[:cut])
 
             def log_message(self, *args):
                 pass
@@ -70,8 +83,8 @@ class FixtureServer:
 def server():
     servers = []
 
-    def make(files, support_range=False):
-        s = FixtureServer(files, support_range)
+    def make(files, support_range=False, cut=None):
+        s = FixtureServer(files, support_range, cut)
         servers.append(s)
         return s
 
@@ -146,6 +159,52 @@ def test_download_http_error(tmp_path, server):
         download_file(source, tmp_path)
 
 
+def test_download_cut_short_keeps_what_arrived_and_resumes(tmp_path, server):
+    """A 200 whose body ends before its Content-Length is not published,
+    even with no SHA256 to catch it, and the next call resumes from it."""
+    payload = bytes(range(256)) * 64
+    s = server({"big.bin": payload}, support_range=True, cut=5000)
+    source = SourceFile(url=f"{s.base}/big.bin", kind="file")
+    with pytest.raises(FetchError, match="download failed"):
+        download_file(source, tmp_path)
+    assert not (tmp_path / "big.bin").exists()
+    assert (tmp_path / "big.bin.part").read_bytes() == payload[:5000]
+    assert download_file(source, tmp_path).read_bytes() == payload
+    assert [r for _, r in s.requests] == [None, "bytes=5000-"]
+
+
+def test_download_complete_part_answered_416_is_verified_and_published(tmp_path, server):
+    payload = b"complete" * 512
+    s = server({"big.bin": payload}, support_range=True)
+    (tmp_path / "big.bin.part").write_bytes(payload)
+    source = SourceFile(url=f"{s.base}/big.bin", kind="file", sha256=sha(payload))
+    assert download_file(source, tmp_path).read_bytes() == payload
+    assert s.requests == [("/big.bin", f"bytes={len(payload)}-")]
+    assert not (tmp_path / "big.bin.part").exists()
+
+
+def test_download_needs_no_requests_package(tmp_path, server):
+    """numpy is the only runtime dependency: the CLI and a download work
+    with ``requests`` unimportable."""
+    payload = b"stdlib" * 100
+    s = server({"data.bin": payload})
+    code = (
+        "import sys; sys.modules['requests'] = None\n"
+        "from pathlib import Path\n"
+        "import tsprep.cli, tsprep.fetch as f\n"
+        "target = f.download_file(f.SourceFile(url=sys.argv[1], kind='file'), Path(sys.argv[2]))\n"
+        "print(target.read_bytes().decode())\n"
+    )
+    paths = [str(Path(tsprep.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, f"{s.base}/data.bin", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == payload.decode()
+
+
 def test_extract_zip(tmp_path):
     archive = tmp_path / "a.zip"
     archive.write_bytes(zip_bytes({"one.txt": b"1", "two.txt": b"2", "sub/three.txt": b"3"}))
@@ -201,9 +260,31 @@ def test_fetch_dataset_uea_style(tmp_path, server, monkeypatch):
     assert len(s.requests) == before
 
 
-def test_fetch_dataset_unknown_name(tmp_path):
-    with pytest.raises(KeyError, match="supported"):
-        fetch_dataset(tmp_path, "nonsense")
+def test_fetch_dataset_unregistered_name_is_a_uea_archive(tmp_path, server, monkeypatch):
+    payload = zip_bytes({"BasicMotions_TRAIN.ts": b"@data\n", "BasicMotions_TEST.ts": b"@data\n"})
+    s = server({"BasicMotions.zip": payload})
+    monkeypatch.setattr(fetch, "_UEA_BASE", s.base)
+    dest = fetch_dataset(tmp_path, "BasicMotions")
+    assert dest == raw_dir(tmp_path, "basicmotions")
+    assert (dest / "BasicMotions_TRAIN.ts").exists()
+    assert s.requests == [("/BasicMotions.zip", None)]
+
+
+@pytest.mark.parametrize("name", ["../../../x", "../x", "a/b", "", ".hidden", "a b", "x\n"])
+def test_fetch_dataset_malformed_name_creates_nothing(tmp_path, monkeypatch, name):
+    def no_download(*args, **kwargs):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr(fetch, "urlopen", no_download)
+    with pytest.raises(KeyError, match="invalid dataset name.*arrowhead.*physionet2012"):
+        fetch_dataset(tmp_path / "root", name)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_source_registered_names_in_any_case_else_archive_names():
+    assert fetch.source("ArrowHead") is REGISTRY["arrowhead"]
+    assert fetch.source("PhysioNet2019Binary").name == "physionet2019"
+    assert fetch.source("Basic_Motions-2").files[0].url.endswith("/Basic_Motions-2.zip")
 
 
 def test_registry_covers_spec_datasets():

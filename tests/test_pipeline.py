@@ -334,7 +334,8 @@ def test_bad_proportions_rejected(arrowhead_root):
 @pytest.mark.parametrize(
     "field, value",
     [("missing", "x"), ("missing", ["0.1", None]), ("categorical", ["a"]),
-     ("categorical", 3), ("channel_means", {"x": 1}), ("channel_means", {1: "y"}),
+     ("categorical", 3), ("categorical", "12"), ("channel_means", {"x": 1}),
+     ("channel_means", {1: "y"}),
      ("path", None)],
 )
 def test_unconvertible_config_value_names_its_field(arrowhead_root, field, value):
