@@ -189,6 +189,20 @@ def physionet2019_root(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="session")
+def physionet2019_long_tail_root(tmp_path_factory):
+    """40 patients: 39 stays of 4-8 hours and one of 200, so padding to the
+    longest stay makes 95% of the padded rows."""
+    root = tmp_path_factory.mktemp("physionet2019_long_tail_root")
+    raw = root / ".torchtime" / "raw" / "physionet2019"
+    rng = np.random.RandomState(999)
+    for i in range(40):
+        n_hours = 200 if i == 17 else int(rng.randint(4, 9))
+        sepsis_from = int(rng.randint(2, n_hours)) if i % 4 == 0 else None
+        make_patient_2019(raw / "training_setA" / f"p{i:06d}.psv", rng, n_hours, sepsis_from)
+    return root
+
+
 @pytest.fixture()
 def copy_tree(tmp_path):
     """Copy a session fixture tree into a writable per-test directory."""

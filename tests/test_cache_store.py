@@ -150,7 +150,9 @@ def test_wrong_format_version_is_corrupt(tmp_path):
     X, y, length = sample_tensors()
     save(tmp_path, "demo", X, y, length, info_for(X))
     path = entry_dir(tmp_path, "demo") / "manifest.json"
-    path.write_text(path.read_text().replace('"format_version": 2', '"format_version": 99'))
+    version = f'"format_version": {tensorfile.CACHE_FORMAT_VERSION}'
+    assert version in path.read_text()
+    path.write_text(path.read_text().replace(version, '"format_version": 99'))
     with pytest.raises(CacheCorrupt, match="format"):
         load(tmp_path, "demo")
 

@@ -1,5 +1,6 @@
-"""Bounded memory: step 4 allocates its output once, and the writers stream
-row blocks instead of copying whole splits.
+"""Bounded memory: step 4 allocates its output once, steps 1-7 hold only the
+real time steps, and the writers stream row blocks instead of copying whole
+splits.
 
 Peaks are measured with ``tracemalloc``, which numpy reports its buffers
 to; arrays that exist before a measurement starts are not counted.
@@ -93,3 +94,24 @@ def test_assemble_channels_peak_is_its_output(covers_time):
     config = PipelineConfig(dataset="Demo", split="train", train_prop=0.7, mask=True, delta=True)
     peak, (out, _) = traced_peak(lambda: pipeline._assemble_channels(config, X, lengths, info))
     assert peak <= 1.1 * out.nbytes
+
+
+def test_warm_build_of_a_mostly_padded_dataset_allocates_under_half_its_padded_output(
+    physionet2019_long_tail_root, copy_tree
+):
+    """Padding is made only where a padded tensor leaves the package, so a
+    build that hits the cache holds the real steps, never the padded tensor."""
+    config = PipelineConfig(
+        dataset="physionet2019", split="train", train_prop=0.7, val_prop=0.15, seed=1,
+        mask=True, delta=True, standardise=True, impute="forward",
+        path=copy_tree(physionet2019_long_tail_root),
+    )
+    lengths, n_channels = (lambda ds: (ds.length_full, ds.layout.n_channels))(
+        pipeline.build(config)  # cold: writes the cache entry
+    )
+    steps = int(lengths.max())
+    assert lengths.sum() <= 0.2 * len(lengths) * steps  # at least 80% padding
+    padded_bytes = len(lengths) * steps * n_channels * 8
+    peak, dataset = traced_peak(lambda: pipeline.build(config))
+    assert dataset.X_full.nbytes == padded_bytes
+    assert peak < 0.5 * padded_bytes

@@ -654,3 +654,80 @@ def test_dataset_info_disagreeing_with_X_is_rebuilt(physionet2019_root, copy_tre
     assert rebuilt.y_full.tobytes() == clean.y_full.tobytes()
     info = json.loads(manifest_path.read_text())["dataset_info"]
     assert len(info["channels"]) + 1 == clean.X_full.shape[2] and info["time_channel"] == "ICULOS"
+
+
+# ------------------------------------------ cache entries hold the real steps
+
+
+def _rewrite_blob(entry, name, array, format_version=None):
+    """Replace one blob of a cache entry and its ``files`` entry, as a writer
+    of that entry would have (``format_version`` changes the manifest's)."""
+    code = "i64" if array.dtype.kind == "i" else "f64"
+    digest = tensorfile.write_tensor(entry / name, array, code)
+    manifest = json.loads((entry / "manifest.json").read_text())
+    manifest["files"][name] = tensorfile.file_entry(digest, array, code)
+    if format_version is not None:
+        manifest["format_version"] = format_version
+    (entry / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _2019_config(root, **kwargs):
+    return PipelineConfig(dataset="physionet2019", split="train", train_prop=0.6, val_prop=0.2,
+                          seed=5, path=root, **kwargs)
+
+
+def _prepared_digests(dataset, config, out):
+    export.write_prepared(dataset, config, out)
+    return {name: e["sha256"] for name, e in export.read_manifest(out)["files"].items()}
+
+
+def test_format_2_cache_entry_is_rebuilt_once_to_the_same_bytes(
+    physionet2019_root, copy_tree, tmp_path, caplog, monkeypatch
+):
+    """An entry as format 2 wrote it (``X.bin`` padded to the longest stay)
+    fails the schema, is rebuilt once with the reason logged, and the build
+    gives the prepared bytes of a fresh one."""
+    root = copy_tree(physionet2019_root)
+    config = _2019_config(root, mask=True, delta=True, standardise=True, impute="forward")
+    want = _prepared_digests(build(config), config, tmp_path / "want")
+    # with no channel options the built X_full is the padded master itself
+    plain = build(_2019_config(root))
+    entry = entry_dir(root, "physionet2019")
+    _rewrite_blob(entry, "X.bin", plain.X_full, format_version=2)
+    saves, real_save = [], cache_store.save
+    monkeypatch.setattr(cache_store, "save", lambda *a, **k: saves.append(real_save(*a, **k)))
+    with caplog.at_level(logging.WARNING):
+        first = build(config)
+        second = build(config)
+    assert len(saves) == 1
+    reasons = [r.message for r in caplog.records if "corrupt" in r.message]
+    assert len(reasons) == 1 and "format_version" in reasons[0]
+    assert _prepared_digests(first, config, tmp_path / "first") == want
+    assert _prepared_digests(second, config, tmp_path / "second") == want
+    assert cache_store.verify(entry) == []
+
+
+@pytest.mark.parametrize("damage", ["one_step_more", "zero_length"])
+def test_cache_entry_whose_lengths_do_not_bound_X_is_rebuilt(
+    physionet2019_root, copy_tree, caplog, damage
+):
+    """``length.bin`` bounds the rows of ``X.bin``: lengths that do not sum to
+    its row count, or a length below 1, make the entry corrupt, though every
+    digest matches."""
+    root = copy_tree(physionet2019_root)
+    config = _2019_config(root, mask=True, delta=True)
+    clean = build(config)
+    entry = entry_dir(root, "physionet2019")
+    lengths = tensorfile.read_tensor(entry / "length.bin").copy()
+    if damage == "one_step_more":
+        lengths[0] += 1
+    else:
+        lengths[1] += lengths[0]
+        lengths[0] = 0
+    _rewrite_blob(entry, "length.bin", lengths)
+    assert cache_store.verify(entry) == []
+    with caplog.at_level(logging.WARNING):
+        rebuilt = build(config)
+    assert any("corrupt" in r.message and "length.bin" in r.message for r in caplog.records)
+    assert rebuilt.X_full.tobytes() == clean.X_full.tobytes()
+    assert rebuilt.length_full.tobytes() == clean.length_full.tobytes()

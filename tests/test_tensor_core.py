@@ -248,3 +248,26 @@ def test_dataset_unknown_split_rejected():
     ds = make_dataset()
     with pytest.raises(ValueError, match="unknown split"):
         ds.tensors("dev")
+
+
+def test_channel_stats_on_ragged_train_segments_equals_the_padded_call_bitwise():
+    """The real steps of the training rows, record after record, are the
+    values the padded call reads in the same order: every statistic is
+    bitwise equal, with a length-1 row and a row at the global maximum."""
+    rng = np.random.RandomState(12)
+    lengths = np.array([1, 17, 5, 17, 2, 9, 1, 13], dtype=np.int64)
+    n, s, d = len(lengths), int(lengths.max()), 4
+    X = np.full((n, s, d), np.nan)
+    for i, L in enumerate(lengths):
+        X[i, :L] = rng.randn(L, d) * 10.0 ** rng.randint(-3, 4, d)
+    X[:, :, 2] = np.round(X[:, :, 2])  # a categorical channel with ties
+    X[rng.rand(n, s, d) < 0.3] = np.nan
+    X[:, :, 3] = np.nan  # a channel never observed
+    train = np.array([0, 1, 3, 4, 6])
+    ragged = np.concatenate([X[i, : lengths[i]] for i in train])
+    assert ragged.shape == (lengths[train].sum(), d)
+    want = channel_stats(X[train], lengths[train], categorical=[2])
+    got = channel_stats(ragged, lengths[train], categorical=[2])
+    for field in ("mean", "std", "mode", "count"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert want.count[3] == 0 and want.count[2] > 0
