@@ -47,8 +47,9 @@ def batches(dataset, split: str, batch_size: int, rng: Optional[Xoshiro256StarSt
     """Iterate a split once, in stored order, as batches of ``batch_size``
     (the last batch may be smaller).
 
-    Each batch gathers its own rows from the dataset's ``_full`` arrays, so
-    the split is never copied as a whole. Pass a seeded generator as
+    Each batch gathers its own rows from the dataset's ``_full`` arrays and
+    pads its ``X`` from ``dataset.ragged``, so the split is never copied
+    (or padded) as a whole. Pass a seeded generator as
     ``rng`` to shuffle sequence order for the epoch; the default (no
     shuffling) keeps epochs reproducible.
     """
@@ -63,7 +64,7 @@ def batches(dataset, split: str, batch_size: int, rng: Optional[Xoshiro256StarSt
         rng.shuffle(order)
     for start in range(0, n, batch_size):
         idx = rows[order[start : start + batch_size]]
-        yield Batch(X=dataset.X_full[idx], y=dataset.y_full[idx], length=dataset.length_full[idx])
+        yield Batch(X=dataset.ragged.pad(idx), y=dataset.y_full[idx], length=dataset.length_full[idx])
 
 
 def sort_by_length(batch: Batch) -> Batch:

@@ -3,9 +3,13 @@
 Layout: ``<root>/.torchtime/<key>/`` holds ``X.bin``, ``y.bin``, ``length.bin``
 at full precision and a ``manifest.json`` of kind ``"cache"``
 (:data:`tsprep.tensorfile.SCHEMA`) that also records ``dataset`` (the key,
-the entry's only identity) and ``dataset_info``. Entries are published whole
-by :func:`tsprep.tensorfile.publish`, so readers only ever see absent, old
-or complete entries; one from before format 2 has no manifest and is rebuilt.
+the entry's only identity) and ``dataset_info``. From format 3 the pipeline
+stores the master's real steps, record after record, as ``X.bin`` of shape
+``(sum of lengths, 1 + d)``, bounded by ``length.bin``; this module stores
+whatever arrays it is given. Entries are published whole by
+:func:`tsprep.tensorfile.publish`, so readers only ever see absent, old or
+complete entries; one of an older format fails the schema (or, before
+format 2, has no manifest) and is rebuilt.
 """
 
 import hashlib

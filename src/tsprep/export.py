@@ -64,7 +64,8 @@ def check_replaceable(out_dir: Path) -> None:
 def write_prepared(dataset: Dataset, config: PipelineConfig, out_dir: Path) -> Path:
     """Write every split of ``dataset`` at full precision plus the manifest,
     replacing ``out_dir`` whole; returns the manifest path. Each split is
-    streamed from the ``_full`` arrays by its rows, never copied whole."""
+    streamed by its rows, never copied whole: ``X`` is padded from
+    ``dataset.ragged`` one row block at a time."""
     out_dir = Path(out_dir)
     check_replaceable(out_dir)
     fields = dict(
@@ -77,9 +78,10 @@ def write_prepared(dataset: Dataset, config: PipelineConfig, out_dir: Path) -> P
     with publish(out_dir, "prepared", fields) as (tmp, files):
         for split in dataset.splits:
             rows = dataset.split_rows(split)
-            for stem, code in (("X", "f64"), ("y", "f64"), ("length", "i64")):
+            for stem, full, code in (("X", dataset.ragged, "f64"), ("y", dataset.y_full, "f64"),
+                                     ("length", dataset.length_full, "i64")):
                 name = f"{stem}_{split}.bin"
-                source = Rows(getattr(dataset, f"{stem}_full"), rows)
+                source = Rows(full, rows)
                 files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
     return out_dir / "manifest.json"
 

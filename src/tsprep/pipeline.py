@@ -8,6 +8,12 @@ before splitting, masks reflect pre-imputation missingness and both
 standardisation and imputation statistics come from the training split
 only.
 
+Steps 1-7 hold the master and the assembled output as their real time steps
+only, record after record (``(sum of lengths, c)``, bounded by the lengths);
+the cache stores the master that way too. The padded ``(n, s, c)`` form is
+made only where a tensor leaves the package (:class:`Dataset` accessors,
+``batching.batches`` and the writers), one block at a time.
+
 Channel conventions: the master array always carries the time stamp as
 channel 0 (a synthesized index for UEA problems, the recorded Mins/ICULOS
 stamp for PhysioNet). Mask and delta channels cover the *source* channels:
@@ -42,9 +48,11 @@ from tsprep.tensor_core import (
     ChannelLayout,
     ChannelStats,
     Dataset,
+    Ragged,
     append_time_channel,  # unused here, but perfbench/tracing.py wraps pipeline.append_time_channel
     channel_stats,
     pad_to_longest,
+    real_steps,
     standardise,  # unused here, but perfbench/tracing.py wraps pipeline.standardise
     standardise_in_place,
 )
@@ -202,15 +210,22 @@ def _find_ts(raw: Path, dataset: str, part: str, required: bool = True) -> Optio
 
 
 def _physionet_master(raw: Path, records: list, dropped: int, time_channel: str):
-    """The padded ``[times | values]`` master of PhysioNet records, their
-    lengths and the ``dataset_info`` of the cache entry."""
+    """The ``[times | values]`` rows of PhysioNet records, record after
+    record, their lengths and the ``dataset_info`` of the cache entry."""
     if not records:
         raise ValueError(f"no usable records under {raw}")
     names = records[0].channel_names
     for r in records:
         if r.channel_names != names:
             raise ValueError(f"record {r.record_id} has a different channel set")
-    X, lengths = pad_to_longest([np.column_stack([r.times, r.values]) for r in records])
+    lengths = np.array([len(r.times) for r in records], dtype=np.int64)
+    if (lengths < 1).any():
+        raise ValueError("every series needs at least one step")
+    X = np.empty((int(lengths.sum()), 1 + len(names)))
+    stops = np.cumsum(lengths)
+    for r, start, stop in zip(records, (stops - lengths).tolist(), stops.tolist()):
+        X[start:stop, 0] = r.times
+        X[start:stop, 1:] = r.values
     info = {
         "time_channel": time_channel,
         "channels": list(names),
@@ -245,16 +260,36 @@ def _ingest(config: PipelineConfig, root: Path, workers: int):
     kind = config.kind
     raw = fetch.raw_dir(root, fetch.source(config.dataset).name)
     if kind == UEA:
-        return _ingest_uea(raw, config.dataset)
+        X, y, lengths, info = _ingest_uea(raw, config.dataset)
+        n, s, c = X.shape
+        # equal lengths: the padded master is its real steps, reshaped
+        steps = X.reshape(n * s, c) if (lengths == s).all() else X[real_steps(lengths, s)]
+        return steps, y, lengths, info
     if kind == PHYSIONET2012:
         return _ingest_2012(raw, workers)
     return _ingest_2019(raw, workers, binary=kind == PHYSIONET2019_BINARY)
+
+
+def _check_bounds(directory: Path, X: np.ndarray, y: np.ndarray, length: np.ndarray) -> None:
+    """Raise :class:`~tsprep.cache_store.CacheCorrupt` unless ``length.bin``
+    bounds the rows of ``X.bin``: one length of at least 1 per row of
+    ``y.bin``, summing to the row count of a 2-D ``X.bin``. Matching digests
+    cannot show this, as they cannot show that ``dataset_info`` fits
+    ``X.bin``, which the manifest's schema checks."""
+    if (length < 1).any():
+        raise cache_store.CacheCorrupt(f"{directory}: length.bin holds a length below 1")
+    if X.ndim != 2 or int(length.sum()) != len(X) or len(y) != len(length):
+        raise cache_store.CacheCorrupt(
+            f"{directory}: length.bin ({len(length)} lengths summing to {int(length.sum())}) "
+            f"does not bound X.bin of shape {X.shape} and y.bin of shape {y.shape}"
+        )
 
 
 def _master(config: PipelineConfig, root: Path, workers: int):
     if not config.overwrite_cache:
         try:
             X, y, length, meta = cache_store.load(root, config.key)
+            _check_bounds(cache_store.entry_dir(root, config.key), X, y, length)
             return X, y, length, meta["dataset_info"]
         except cache_store.CacheCorrupt as err:
             logger.warning("rebuilding corrupt cache entry: %s", err)
@@ -300,7 +335,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
 
     with _step(1, "cache check / ingest"):
         X, y, lengths, info = _master(config, root, workers)
-    d = X.shape[2] - 1
+    d = X.shape[1] - 1
     if isinstance(config.missing, tuple) and len(config.missing) != d:
         raise ConfigError(f"missing list has {len(config.missing)} entries for {d} data channels")
 
@@ -318,17 +353,20 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
 
     with _step(4, "append time/mask/delta channels"):
         X_out, layout = _assemble_channels(config, X, lengths, info)
+        ragged = Ragged.of_lengths(X_out, lengths)
     del X  # the master: from here on only the assembled output is held
 
     with _step(5, "stratified split"):
         assignment = stratified_split(_strata(config, y), config.split_spec())
         split_of_index = assignment.split_of_index(len(lengths))
 
-    # training rows of the contiguous data block: one gather, no full copy
+    # the training steps of the contiguous data block, record after record:
+    # one gather of real steps, which gives the padded statistics bitwise
     train_idx = np.flatnonzero(split_of_index == SPLIT_CODES["train"])
+    train_steps = ragged.row_index(train_idx)
     data = layout.data_slice
     with _step(6, "standardise"):
-        stats = channel_stats(X_out[train_idx, :, data], lengths[train_idx], categorical=cat_cols)
+        stats = channel_stats(X_out[train_steps, data], lengths[train_idx], categorical=cat_cols)
         if config.standardise:
             standardise_in_place(X_out, layout, stats)
 
@@ -337,7 +375,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
             # fill statistics are taken from the training split as imputation
             # sees it, i.e. post-standardisation when that step ran
             fill_stats = (
-                channel_stats(X_out[train_idx, :, data], lengths[train_idx], categorical=cat_cols)
+                channel_stats(X_out[train_steps, data], lengths[train_idx], categorical=cat_cols)
                 if config.standardise
                 else stats
             )
@@ -349,16 +387,20 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
             )
             if callable(config.impute):
                 # a custom method may look across rows, so it sees one split
-                # at a time
+                # at a time, padded; it may write into the padding too, so
+                # each sequence keeps its steps up to the last one written
                 y = y.astype(np.float64, copy=True)
+                kept = [None] * len(lengths)
                 for code in np.unique(split_of_index):
-                    rows = split_of_index == code
-                    X_rows, y_rows = transforms.impute(
-                        X_out[rows], y[rows], lengths[rows], layout.data_indices,
+                    rows = np.flatnonzero(split_of_index == code)
+                    X_rows, y[rows] = transforms.impute(
+                        ragged.pad(rows), y[rows], lengths[rows], layout.data_indices,
                         config.impute, fill,
                     )
-                    X_out[rows] = X_rows
-                    y[rows] = y_rows
+                    for i, X_i, k in zip(rows, X_rows, _written_steps(X_rows, lengths[rows])):
+                        kept[i] = X_i[:k]
+                ragged = Ragged.of_lengths(np.concatenate(kept), [len(k) for k in kept],
+                                           ragged.steps)
             else:
                 # built-in methods fill each row from itself and the
                 # training-only fill values: all rows at once is the same
@@ -366,7 +408,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
 
     with _step(8, "bind split views"):
         dataset = Dataset(
-            X_full=X_out,
+            X_full=ragged,
             y_full=y,
             length_full=lengths.astype(np.int64),
             layout=layout,
@@ -381,12 +423,22 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
     return dataset
 
 
+def _written_steps(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Steps of each padded sequence up to the last one holding anything but
+    NaN padding bits, and at least its length."""
+    padding = np.full(1, np.nan).view(np.uint64)[0]
+    written = (np.ascontiguousarray(X).view(np.uint64) != padding).any(axis=2)
+    last = X.shape[1] - np.argmax(written[:, ::-1], axis=1)
+    return np.maximum(lengths, np.where(written.any(axis=1), last, 0))
+
+
 def _assemble_channels(
     config: PipelineConfig, X: np.ndarray, lengths: np.ndarray, info: dict
 ) -> tuple[np.ndarray, ChannelLayout]:
-    """Step 4: the output is allocated once, and the time stamp, data, mask
-    and delta blocks are written into their channel slices of it."""
-    n, s, c = X.shape
+    """Step 4 on the master's real steps ``(sum of lengths, c)``: the output
+    is allocated once, and the time stamp, data, mask and delta blocks are
+    written into their channel slices of it."""
+    c = X.shape[1]
     time_name = info["time_channel"]
     data_names = list(info["channels"])
     cover = slice(0, c) if info["mask_covers_time"] else slice(1, c)
@@ -403,15 +455,15 @@ def _assemble_channels(
     layout = ChannelLayout(channels=tuple(channels))
 
     m = len(cover_names)
-    out = np.empty((n, s, layout.n_channels))
+    out = np.empty((len(X), layout.n_channels))
     first = 0 if config.time else 1
     col = c - first
-    out[:, :, :col] = X[:, :, first:]
+    out[:, :col] = X[:, first:]
     if config.mask:
-        mask = transforms.observational_mask(X[:, :, cover], lengths, out=out[:, :, col : col + m])
+        mask = transforms.observational_mask(X[:, cover], lengths, out=out[:, col : col + m])
         col += m
     elif config.delta:
-        mask = ~np.isnan(X[:, :, cover])  # time_delta reads only valid steps
+        mask = ~np.isnan(X[:, cover])
     if config.delta:
-        transforms.time_delta(X[:, :, 0], mask, lengths, out=out[:, :, col : col + m])
+        transforms.time_delta(X[:, 0], mask, lengths, out=out[:, col : col + m])
     return out, layout

@@ -1,25 +1,30 @@
-"""Padded ``(n, s, c)`` data model, channel layout, training statistics and
+"""Ragged and padded data models, channel layout, training statistics and
 standardisation.
 
-Everything downstream of parsing works on one convention: a float64 array of
-shape ``(n, s, c)`` where entry ``[i, t, :]`` is NaN for every ``t >=
-length[i]`` (padding), and NaN inside the valid region means a missing
-observation. All transforms preserve that invariant.
+A dataset's sequences live in one :class:`Ragged`: the real time steps of
+every sequence, record after record, as one float64 array of rows ``(sum of
+lengths, c)`` with per-sequence bounds. NaN in it means a missing
+observation. Steps 1-7 of the pipeline and the transforms work on these rows
+only, so their cost follows the real steps, not the padded size.
 
-The array is large and memory traffic dominates its cost, so the pipeline
-avoids whole-array copies: step 4 fills one preallocated output, channel
-blocks are contiguous (``data_slice`` is a view), ``standardise_in_place``
-overwrites the array the pipeline owns, and ``Dataset.split_rows`` lets
-consumers gather rows without copying a split. The writers
-(:mod:`tsprep.export`) and ``batching.batches`` gather by ``split_rows`` one
-block or batch at a time, so their peak is the padded output plus a block.
-``Dataset.tensors`` and the split accessors copy a whole split, and the
-public ``standardise`` copies first and leaves its input untouched.
+The padded convention, an ``(n, s, c)`` array whose entry ``[i, t, :]`` is NaN
+for every ``t >= length[i]``, exists only where a tensor leaves tsprep:
+:meth:`Ragged.pad` makes it for the rows asked for. ``Dataset.X_full``, the
+split accessors and ``Dataset.tensors`` pad on access and copy;
+``batching.batches`` pads one batch and the writers (:mod:`tsprep.export`)
+one row block at a time, so their peak is the real-step output plus a
+block. When every sequence has ``s`` steps (every equal-length UEA problem)
+the padded form is a reshape of the rows, and padding is a view or a gather.
+
+The public transforms also accept padded arrays, which they reduce to their
+real steps with :func:`real_steps`. ``standardise_in_place`` overwrites the
+array the pipeline owns; the public ``standardise`` copies first and leaves
+its input untouched.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -68,7 +73,7 @@ class ChannelLayout:
     @property
     def data_slice(self) -> slice:
         """The data channels as a slice: blocks are ordered, so they are
-        contiguous and ``X[:, :, data_slice]`` is a view."""
+        contiguous and ``X[..., data_slice]`` is a view."""
         cols = self.data_indices
         start = int(cols[0]) if len(cols) else 0
         return slice(start, start + len(cols))
@@ -95,30 +100,140 @@ class ChannelStats:
         return self.count > 0
 
 
+def real_steps(lengths: np.ndarray, steps: int) -> np.ndarray:
+    """``(n, steps)`` booleans, True at the real steps of a padded array:
+    ``X[real_steps(lengths, X.shape[1])]`` is its :class:`Ragged` rows."""
+    return np.arange(steps)[None, :] < np.asarray(lengths)[:, None]
+
+
+@dataclass(frozen=True)
+class Ragged:
+    """Sequences of unequal length as one array of rows: sequence ``i`` is
+    ``values[offsets[i]:offsets[i + 1]]`` (the flat values plus bounds of
+    Arrow's ``ListArray``). Its padded form is ``(n, steps, c)``, NaN after
+    each sequence's rows.
+
+    Built by the pipeline, a sequence's rows are its real steps; built from
+    a padded array (:meth:`of_padded`), every sequence keeps all ``steps``
+    rows, so that array is its padded form, padding and all. ``dense`` is
+    the padded form as a view of ``values`` when every sequence has
+    ``steps`` rows, else None.
+    """
+
+    values: np.ndarray
+    offsets: np.ndarray
+    steps: int
+
+    def __post_init__(self) -> None:
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        object.__setattr__(self, "offsets", offsets)
+        counts = np.diff(offsets)
+        if (self.values.ndim != 2 or offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0
+                or offsets[-1] != len(self.values) or (counts < 0).any()
+                or counts.max(initial=0) > self.steps):
+            raise ValueError("offsets must bound the rows of a 2-D values array within steps")
+        dense = (counts == self.steps).all()
+        object.__setattr__(self, "dense", self.values.reshape(self.shape) if dense else None)
+
+    @classmethod
+    def of_lengths(cls, values: np.ndarray, lengths, steps: Optional[int] = None) -> "Ragged":
+        """Rows ``values`` cut into sequences of ``lengths`` rows, padded to
+        ``steps`` (the longest by default)."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        return cls(values, offsets, int(lengths.max(initial=0)) if steps is None else steps)
+
+    @classmethod
+    def of_padded(cls, X: np.ndarray) -> "Ragged":
+        """An ``(n, s, c)`` array as ``n`` sequences of ``s`` rows each (a
+        reshape, no copy, when ``X`` is contiguous)."""
+        n, s, c = X.shape
+        return cls(X.reshape(n * s, c), np.arange(n + 1) * s, s)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The shape of the padded form."""
+        return (len(self.offsets) - 1, self.steps, self.values.shape[1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def row_index(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in ``values`` of the rows of sequences ``rows``, in order."""
+        starts = self.offsets[rows]
+        counts = self.offsets[np.asarray(rows) + 1] - starts
+        return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+    def pad(self, rows=None, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The padded form of sequences ``rows`` (every one when None),
+        ``(len(rows), steps, c)``, written into ``out`` when given.
+
+        When every sequence has ``steps`` rows the padded form is
+        :attr:`dense`, a view of ``values``: it is returned itself for all
+        rows, and gathered for some."""
+        if self.dense is not None and out is None:
+            return self.dense if rows is None else self.dense[rows]
+        rows = np.arange(len(self))[slice(None) if rows is None else rows]
+        if out is None:
+            out = np.empty((len(rows),) + self.shape[1:], self.dtype)
+        out.fill(np.nan)
+        starts, stops = self.offsets[rows].tolist(), self.offsets[rows + 1].tolist()
+        for j, (start, stop) in enumerate(zip(starts, stops)):
+            out[j, : stop - start] = self.values[start:stop]
+        return out
+
+
 SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
 
 
-@dataclass
 class Dataset:
-    """Final pipeline product: padded tensors plus split membership.
+    """Final pipeline product: the sequences, their targets and lengths, and
+    split membership.
 
-    ``X``, ``y`` and ``length`` return the split selected at build time;
-    the ``_train``/``_val``/``_test`` accessors are always available
+    ``X_full`` is given as a padded ``(n, s, c)`` array or as a
+    :class:`Ragged` (the pipeline's real steps) and held as ``ragged``.
+    ``X_full``, ``X``, the ``X_train``/``X_val``/``X_test`` accessors and
+    :meth:`tensors` pad on access: each is a padded copy of its rows (a view
+    for ``X_full`` when every sequence has ``s`` steps). ``X``, ``y`` and
+    ``length`` return the split selected at build time; the
+    ``_train``/``_val``/``_test`` accessors are always available
     (requesting a test split that was never created raises ``ValueError``).
-    Every accessor copies the split's rows out of the ``_full`` arrays.
-    Instances are treated as immutable once built.
+    ``y`` and ``length`` accessors copy their rows of ``y_full`` and
+    ``length_full``. Instances are treated as immutable once built.
     """
 
-    X_full: np.ndarray
-    y_full: np.ndarray
-    length_full: np.ndarray
-    layout: ChannelLayout
-    stats: ChannelStats
-    split_of_index: np.ndarray
-    split: str
-    has_test: bool
-    name: str = ""
-    dropped_records: int = 0
+    def __init__(
+        self,
+        X_full,
+        y_full: np.ndarray,
+        length_full: np.ndarray,
+        layout: ChannelLayout,
+        stats: ChannelStats,
+        split_of_index: np.ndarray,
+        split: str,
+        has_test: bool,
+        name: str = "",
+        dropped_records: int = 0,
+    ) -> None:
+        self.ragged = X_full if isinstance(X_full, Ragged) else Ragged.of_padded(np.asarray(X_full))
+        self.y_full = y_full
+        self.length_full = length_full
+        self.layout = layout
+        self.stats = stats
+        self.split_of_index = split_of_index
+        self.split = split
+        self.has_test = has_test
+        self.name = name
+        self.dropped_records = dropped_records
+
+    @property
+    def X_full(self) -> np.ndarray:
+        """Every sequence, padded: ``(n, s, c)``."""
+        return self.ragged.pad()
 
     def split_rows(self, split: str) -> np.ndarray:
         """Positions of one split's sequences in the ``_full`` arrays, in
@@ -129,17 +244,15 @@ class Dataset:
             raise ValueError("no test split was configured (val_prop not set)")
         return np.flatnonzero(self.split_of_index == SPLIT_CODES[split])
 
-    def _select(self, array: np.ndarray, split: str) -> np.ndarray:
-        return array[self.split_rows(split)]
+    def _select(self, stem: str, split: str) -> np.ndarray:
+        rows = self.split_rows(split)
+        return self.ragged.pad(rows) if stem == "X" else getattr(self, f"{stem}_full")[rows]
 
     def tensors(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, y, length) for one split, each a copy of its rows; code that
-        can work a block at a time gathers by :meth:`split_rows` instead."""
-        return (
-            self._select(self.X_full, split),
-            self._select(self.y_full, split),
-            self._select(self.length_full, split),
-        )
+        """(X, y, length) for one split, each a copy of its rows, ``X``
+        padded; code that can work a block at a time gathers by
+        :meth:`split_rows` instead."""
+        return tuple(self._select(stem, split) for stem in ("X", "y", "length"))
 
     @property
     def n(self) -> int:
@@ -155,24 +268,24 @@ class Dataset:
     # selected split
     @property
     def X(self) -> np.ndarray:
-        return self._select(self.X_full, self.split)
+        return self._select("X", self.split)
 
     @property
     def y(self) -> np.ndarray:
-        return self._select(self.y_full, self.split)
+        return self._select("y", self.split)
 
     @property
     def length(self) -> np.ndarray:
-        return self._select(self.length_full, self.split)
+        return self._select("length", self.split)
 
 
 def _split_accessor(stem: str, split: str) -> property:
     def get(self: Dataset) -> np.ndarray:
-        return self._select(getattr(self, f"{stem}_full"), split)
+        return self._select(stem, split)
 
     get.__doc__ = (
-        f"``{stem}`` for the {split} split: a copy of its rows "
-        "(:meth:`Dataset.split_rows` gathers them without one)."
+        f"``{stem}`` for the {split} split: a {'padded ' if stem == 'X' else ''}copy of its "
+        "rows (:meth:`Dataset.split_rows` gathers them without one)."
     )
     return property(get)
 
@@ -218,20 +331,23 @@ def channel_stats(
     lengths: np.ndarray,
     categorical: Iterable[int] = (),
 ) -> ChannelStats:
-    """Training statistics per channel of ``X_train`` (the data block).
+    """Training statistics per channel of ``X_train`` (the data block): its
+    real steps ``(sum of lengths, d)`` or a padded ``(n, s, d)`` array.
 
-    Padding contributes nothing because padded entries are NaN. A channel
-    with zero observations gets NaN statistics and count 0 (callers treat it
-    as unavailable).
+    Each channel's observations are read in row order, so the real steps of
+    the training rows, record after record, give the statistics of their
+    padded form bitwise: padding contributes nothing because padded entries
+    are NaN. A channel with zero observations gets NaN statistics and count
+    0 (callers treat it as unavailable).
     """
-    n, s, d = X_train.shape
+    d = X_train.shape[-1]
     categorical = set(categorical)
     mean = np.full(d, np.nan)
     std = np.full(d, np.nan)
     mode = np.full(d, np.nan)
     count = np.zeros(d, dtype=np.int64)
     for c in range(d):
-        observed = X_train[:, :, c]
+        observed = X_train[..., c]
         observed = observed[~np.isnan(observed)]
         count[c] = observed.size
         if observed.size == 0:
@@ -247,15 +363,15 @@ def channel_stats(
 
 def standardise_in_place(X: np.ndarray, layout: ChannelLayout, stats: ChannelStats) -> None:
     """Apply the training-split transform ``(x - mean) / std`` to every data
-    channel of ``X``, overwriting it.
+    channel of ``X`` (ragged rows or a padded array), overwriting it.
 
     One subtraction and one division over the data block: channels without
     training observations use mean 0 and std 1 (so they pass through
     unchanged), and a zero or undefined std acts as 1. Time, mask and delta
     channels are not touched and NaNs stay NaN.
     """
-    block = X[:, :, layout.data_slice]
-    if block.shape[2] != len(stats.mean):
+    block = X[..., layout.data_slice]
+    if block.shape[-1] != len(stats.mean):
         raise ValueError("stats do not match the layout's data channels")
     available = stats.available
     usable_sd = available & np.isfinite(stats.std) & (stats.std != 0.0)

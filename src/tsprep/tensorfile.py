@@ -9,9 +9,11 @@ One array per file, parseable from any language without libraries:
 * bytes 96+: the array payload, row-major (C order), little-endian
 
 :func:`write_tensor` is the one writer: it takes an array, the rows of one
-(:class:`Rows`) or another tensor file (:class:`TensorFile`) and writes,
+or the padded sequences of a :class:`~tsprep.tensor_core.Ragged`
+(:class:`Rows`), or another tensor file (:class:`TensorFile`), and writes,
 converts and hashes the payload one row block of :data:`BLOCK_BYTES` at a
-time, so no second copy of a payload is ever held.
+time, so no second copy of a payload, and no padded copy of a ragged one,
+is ever held.
 
 Every directory tsprep writes (cache entries, prepared directories and
 exports) holds such files plus a ``manifest.json`` whose ``files`` map gives
@@ -32,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from tsprep.tensor_core import DATA, DELTA, MASK, SPLIT_CODES, TIME
+from tsprep.tensor_core import DATA, DELTA, MASK, SPLIT_CODES, TIME, Ragged
 from tsprep.util import sha256_file, staged_dir
 
 MAGIC = b"TSPREP\x01"
@@ -43,7 +45,7 @@ DTYPE_OF_CODE = {"f32": "<f4", "f64": "<f8", "i64": "<i8"}
 CODE_OF_KIND = {("f", 4): "f32", ("f", 8): "f64", ("i", 8): "i64"}
 
 MANIFEST_VERSION = 1  # manifest_version of prepared and export directories
-CACHE_FORMAT_VERSION = 2  # format_version of cache entries
+CACHE_FORMAT_VERSION = 3  # format_version of cache entries: X.bin holds real steps only
 CACHE_BLOBS = ("X.bin", "y.bin", "length.bin")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
@@ -69,11 +71,15 @@ def _block_rows(shape: tuple[int, ...], itemsize: int) -> int:
 
 
 class Rows:
-    """The rows ``array[index]`` (every row when ``index`` is None), which
-    :func:`write_tensor` gathers one block at a time instead of whole."""
+    """The rows ``array[index]`` (every row when ``index`` is None) of an
+    array, or the padded sequences of a :class:`~tsprep.tensor_core.Ragged`,
+    which :func:`write_tensor` gathers or pads one block at a time instead
+    of whole."""
 
-    def __init__(self, array: np.ndarray, index=None) -> None:
-        self.array = np.atleast_1d(array)
+    def __init__(self, array, index=None) -> None:
+        if isinstance(array, Ragged) and array.dense is not None:
+            array = array.dense  # every sequence whole: gather the padded form
+        self.array = array if isinstance(array, Ragged) else np.atleast_1d(array)
         n = len(self.array)
         if index is not None:
             index = np.asarray(index)
@@ -90,17 +96,22 @@ class Rows:
         ``max(itemsize, dtype.itemsize)`` bytes per element); gathered
         blocks share one buffer, so each is valid until the next."""
         n, step = self.shape[0], _block_rows(self.shape, max(itemsize, self.dtype.itemsize))
+        ragged = isinstance(self.array, Ragged)
         buffer = None
         for start in range(0, n, step):
             stop = min(start + step, n)
-            if self.index is None:
+            if self.index is None and not ragged:
                 yield np.ascontiguousarray(self.array[start:stop])
                 continue
             if buffer is None:
                 buffer = np.empty((min(step, n),) + self.shape[1:], self.dtype)
-            # indices are checked above; "wrap" keeps np.take from buffering
-            yield np.take(self.array, self.index[start:stop], axis=0,
-                          out=buffer[: stop - start], mode="wrap")
+            if ragged:
+                rows = slice(start, stop) if self.index is None else self.index[start:stop]
+                yield self.array.pad(rows, out=buffer[: stop - start])
+            else:
+                # indices are checked above; "wrap" keeps np.take from buffering
+                yield np.take(self.array, self.index[start:stop], axis=0,
+                              out=buffer[: stop - start], mode="wrap")
 
 
 class TensorFile:

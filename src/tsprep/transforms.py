@@ -1,9 +1,15 @@
 """Missing-data simulation, observational masks, time deltas and imputation.
 
+Each transform works on the real steps of a dataset, record after record
+(the rows of a :class:`~tsprep.tensor_core.Ragged`, ``(sum of lengths,
+c)``), cut into sequences by ``lengths``. Each also accepts the padded
+``(n, s, c)`` form, whose real steps (:func:`~tsprep.tensor_core.real_steps`)
+it transforms the same way.
+
 Conventions shared by every transform here:
 
-* the padding region (``t >= length[i]``) is NaN on the way in and NaN on
-  the way out, for masks and deltas too;
+* the padding region (``t >= length[i]``) of a padded array is NaN on the
+  way in and NaN on the way out, for masks and deltas too;
 * masks and deltas describe missingness *before* imputation and are never
   modified by it;
 * imputation at time ``t`` uses only observations at times ``<= t`` plus
@@ -17,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from tsprep.splits import XoshiroLanes, substream_seed
-from tsprep.tensor_core import ChannelStats
+from tsprep.tensor_core import ChannelStats, real_steps
 from tsprep.util import round_half_up
 
 MissingSpec = Union[float, Sequence[float]]
@@ -33,8 +39,9 @@ def simulate_missing(
 ) -> np.ndarray:
     """Drop observations at random from the data channels of a master array.
 
-    ``X`` is the ``(n, s, 1 + d)`` master tensor with the time stamp in
-    channel 0; only channels 1..d are touched. A scalar proportion ``p``
+    ``X`` is the master's real steps ``(sum of lengths, 1 + d)``, or its
+    padded ``(n, s, 1 + d)`` form, with the time stamp in channel 0; only
+    channels 1..d of real steps are touched. A scalar proportion ``p``
     drops ``round(p * length)`` whole time points per sequence (every data
     channel at once); a per-channel list drops ``round(p_c * length)``
     entries independently per channel.
@@ -43,8 +50,7 @@ def simulate_missing(
     results do not depend on execution order. A None seed draws fresh OS
     entropy (irreproducible by design).
     """
-    n, s, c = X.shape
-    d = c - 1
+    d = X.shape[-1] - 1
     per_channel = not np.isscalar(missing)
     if per_channel:
         props = [float(p) for p in missing]
@@ -66,10 +72,13 @@ def simulate_missing(
     # with Xoshiro256StarStar(substream_seed(seed, i)).randbelow, the loop
     # that the tests keep as the reference.
     lengths = np.asarray(lengths, dtype=np.int64)
+    n, s = len(lengths), int(lengths.max(initial=0))
+    # the row of X that holds step 0 of each sequence (padded: every s rows)
+    lane_start = np.arange(n) * X.shape[1] if X.ndim == 3 else np.cumsum(lengths) - lengths
     lanes = XoshiroLanes([substream_seed(seed, i) for i in range(n)])
     distinct, length_of = np.unique(lengths, return_inverse=True)
-    lane_start = np.arange(n) * s
     out = X.copy()
+    rows_out = out.reshape(-1, d + 1)
     for ch, p in enumerate(props):
         k = np.array([round_half_up(p * int(L)) for L in distinct], dtype=np.int64)[length_of]
         # pool[t, i] is slot t of sequence i's index pool, in the smallest
@@ -88,10 +97,10 @@ def simulate_missing(
             held = flat[here]
             flat[here] = flat[there]
             flat[there] = held
-        dropped = np.zeros(n * s, dtype=bool)
+        dropped = np.zeros(len(rows_out), dtype=bool)
         dropped[(pool[:k_max] + lane_start)[np.arange(k_max)[:, None] < k]] = True
         target = 1 + ch if per_channel else slice(1, None)
-        out[:, :, target][dropped.reshape(n, s)] = np.nan
+        rows_out[:, target][dropped] = np.nan
     return out
 
 
@@ -99,7 +108,8 @@ def observational_mask(
     X: np.ndarray, lengths: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Mask channels for a block of source channels: 1.0 where a value was
-    recorded, 0.0 where missing, NaN in the padding region.
+    recorded, 0.0 where missing, NaN in the padding region of a padded
+    ``X``.
 
     ``out``, an array of ``X``'s shape (such as a channel slice of a larger
     output), receives the mask in place of a new array.
@@ -110,8 +120,8 @@ def observational_mask(
         raise ValueError(f"out has shape {out.shape}, expected {np.shape(X)}")
     np.isnan(X, out=out)  # 1.0 where missing
     np.subtract(1.0, out, out=out)
-    for i, L in enumerate(lengths):
-        out[i, int(L):, :] = np.nan
+    if out.ndim == 3:
+        out[~real_steps(lengths, out.shape[1])] = np.nan
     return out
 
 
@@ -120,30 +130,36 @@ def time_delta(
 ) -> np.ndarray:
     """Time since each channel was last observed.
 
-    ``times`` is the ``(n, s)`` stamp array and ``mask`` the ``(n, s, m)``
-    observational mask (or any array that is 1 or True where observed).
-    Row 0 is zero by definition; a missing step accumulates: delta[t] =
-    times[t] - times[prev], where ``prev``, a running maximum, is the last
-    observed step before ``t``, or 0 if none. Padding stays NaN. ``out``, an
-    array of ``mask``'s shape, receives the deltas in place of a new array.
+    ``times`` holds the stamps of the real steps ``(sum of lengths,)`` and
+    ``mask`` their observational mask ``(sum of lengths, m)`` (or any array
+    that is 1 or True where observed); padded ``(n, s)`` stamps and an
+    ``(n, s, m)`` mask are accepted too, and their padding stays NaN. Step 0
+    of a sequence is zero by definition; a missing step accumulates:
+    delta[t] = times[t] - times[prev], where ``prev``, a running maximum, is
+    the last observed step before ``t``, or 0 if none. ``out``, an array of
+    ``mask``'s shape, receives the deltas in place of a new array.
     """
-    n, s, m = mask.shape
     if out is None:
-        out = np.empty((n, s, m))
+        out = np.empty(mask.shape)
     elif out.shape != mask.shape:
         raise ValueError(f"out has shape {out.shape}, expected {mask.shape}")
-    for i in range(n):
-        L = int(lengths[i])
-        out[i, L:, :] = np.nan
-        if L == 0:
+    if mask.ndim == 3:
+        valid = real_steps(lengths, mask.shape[1])
+        out[valid] = time_delta(times[valid], mask[valid], lengths)
+        out[~valid] = np.nan
+        return out
+    stops = np.cumsum(lengths)
+    for i, (start, stop) in enumerate(zip((stops - lengths).tolist(), stops.tolist())):
+        if start == stop:
             continue
-        t = times[i, :L]
+        t = times[start:stop]
         if np.isnan(t).any() or (np.diff(t) <= 0).any():
             raise ValueError(f"sequence {i}: time stamps must be strictly increasing")
-        observed = mask[i, : L - 1, :] == 1.0
-        prev = np.maximum.accumulate(np.where(observed, np.arange(L - 1)[:, None], 0), axis=0)
-        out[i, 1:L, :] = t[1:, None] - t[prev]
-        out[i, 0, :] = 0.0
+        observed = mask[start : stop - 1] == 1.0
+        steps = np.arange(stop - start - 1)[:, None]
+        prev = np.maximum.accumulate(np.where(observed, steps, 0), axis=0)
+        out[start + 1 : stop] = t[1:, None] - t[prev]
+        out[start] = 0.0
     return out
 
 
@@ -231,19 +247,26 @@ def impute_in_place(
     method: str,
     fill: np.ndarray,
 ) -> None:
-    """Fill the gaps of ``X[:, :, columns]`` with a built-in method,
-    overwriting ``X``.
+    """Fill the gaps of the data channels ``columns`` of ``X`` (real steps,
+    or a padded array whose padding is left as it is) with a built-in
+    method, overwriting ``X``.
 
-    Each sequence is filled from its own valid region and ``fill`` alone, so
+    Each sequence is filled from its own steps and ``fill`` alone, so
     filling all rows at once equals filling any partition of them
     separately.
     """
     if method not in ("zero", "mean", "forward"):
         raise ValueError(f"unknown imputation method {method!r}")
-    for i in range(X.shape[0]):
-        sub = X[i, : int(lengths[i])]
-        block = sub[:, columns]
-        if method == "forward":
-            sub[:, columns] = _forward_fill(block, fill)
-        else:
-            sub[:, columns] = np.where(np.isnan(block), fill[None, :], block)
+    if X.ndim == 3:
+        valid = real_steps(lengths, X.shape[1])
+        steps = X[valid]
+        impute_in_place(steps, lengths, columns, method, fill)
+        X[valid] = steps
+    elif method == "forward":
+        stops = np.cumsum(lengths)
+        for start, stop in zip((stops - lengths).tolist(), stops.tolist()):
+            X[start:stop, columns] = _forward_fill(X[start:stop, columns], fill)
+    else:
+        for value, c in zip(fill, np.arange(X.shape[1])[columns], strict=True):
+            column = X[:, c]
+            np.copyto(column, value, where=np.isnan(column))

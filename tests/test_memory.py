@@ -89,10 +89,11 @@ def test_assemble_channels_peak_is_its_output(covers_time):
     X = rng.randn(n, s, 1 + d)
     X[rng.rand(n, s, 1 + d) < 0.3] = np.nan
     X[:, :, 0] = np.arange(s)
-    X[np.arange(s)[None, :] >= lengths[:, None]] = np.nan
+    X = X[np.arange(s)[None, :] < lengths[:, None]]  # the real steps, record after record
     info = {"time_channel": "t", "channels": [f"c{i}" for i in range(d)], "mask_covers_time": covers_time}
     config = PipelineConfig(dataset="Demo", split="train", train_prop=0.7, mask=True, delta=True)
     peak, (out, _) = traced_peak(lambda: pipeline._assemble_channels(config, X, lengths, info))
+    assert out.shape == (lengths.sum(), 1 + 3 * d + 2 * covers_time)
     assert peak <= 1.1 * out.nbytes
 
 

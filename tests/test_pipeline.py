@@ -13,7 +13,7 @@ from tsprep.batching import batches
 from tsprep.cache_store import entry_dir
 from tsprep.physionet import PHYSIONET_2012_CHANNELS
 from tsprep.pipeline import ConfigError, BuildError, PipelineConfig, build
-from tsprep.tensor_core import DATA, DELTA, MASK, TIME, Dataset
+from tsprep.tensor_core import DATA, DELTA, MASK, TIME, Dataset, Ragged
 from tsprep.tensorfile import HEADER_SIZE
 
 
@@ -607,23 +607,31 @@ def _assemble_reference(config, X, lengths, info):
     ids=lambda flag: "on" if flag else "off",
 )
 def test_assemble_channels_equals_a_concatenate_reference(time, mask, delta, covers_time):
+    """Step 4 reads the master's real steps, record after record; padded,
+    its output is the reference assembled on the padded master."""
     X, lengths = _uneven_master()
-    master = X.copy()
+    real = np.arange(X.shape[1])[None, :] < lengths[:, None]
+    steps = X[real]
+    master = steps.copy()
     info = {"time_channel": "t", "channels": ["a", "b", "c"], "mask_covers_time": covers_time}
     config = PipelineConfig(
         dataset="Demo", split="train", train_prop=0.7, time=time, mask=mask, delta=delta
     )
-    out, layout = pipeline._assemble_channels(config, X, lengths, info)
+    out, layout = pipeline._assemble_channels(config, steps, lengths, info)
     want = _assemble_reference(config, X, lengths, info)
-    assert (out.shape, out.dtype, out.flags.c_contiguous) == (want.shape, want.dtype, True)
-    assert out.tobytes() == want.tobytes()
-    assert X.tobytes() == master.tobytes()  # the master is read, never written
+    assert (out.shape, out.dtype, out.flags.c_contiguous) == ((len(steps),) + want.shape[2:],
+                                                               want.dtype, True)
+    padded = np.full(want.shape, np.nan)
+    padded[real] = out
+    assert padded.tobytes() == want.tobytes()
+    assert Ragged.of_lengths(out, lengths).pad().tobytes() == want.tobytes()
+    assert steps.tobytes() == master.tobytes()  # the master is read, never written
     cover = (["t"] if covers_time else []) + ["a", "b", "c"]
     names = (["t"] if time else []) + ["a", "b", "c"]
     names += [f"mask_{c}" for c in cover] if mask else []
     names += [f"delta_{c}" for c in cover] if delta else []
     assert layout.names == tuple(names)
-    assert layout.n_channels == out.shape[2]
+    assert layout.n_channels == out.shape[1]
 
 
 @pytest.mark.parametrize(
