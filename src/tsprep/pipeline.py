@@ -14,6 +14,18 @@ the cache stores the master that way too. The padded ``(n, s, c)`` form is
 made only where a tensor leaves the package (:class:`Dataset` accessors,
 ``batching.batches`` and the writers), one block at a time.
 
+Steps 4, 6 and 7 run over row blocks of whole sequences, each of about
+``tensorfile.BLOCK_BYTES`` of output: a block is copied from the master,
+gets its mask and delta channels, and is standardised and imputed while it
+is still in cache, with temporaries of one block. The training statistics
+cannot wait for the blocks, so they come first, from one gather of the
+training steps' data channels (which step 4 copies unchanged from the
+master): statistics, standardisation of that gathered copy in place, then
+the fill statistics. The gather borrows the front of the output's memory,
+which no block is written to before then. Step 5 reads only the targets
+and runs before them. Every value is computed as a whole-array pass would
+compute it, so the blocks do not change a byte.
+
 Channel conventions: the master array always carries the time stamp as
 channel 0 (a synthesized index for UEA problems, the recorded Mins/ICULOS
 stamp for PhysioNet). Mask and delta channels cover the *source* channels:
@@ -36,7 +48,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from tsprep import cache_store, fetch, physionet, transforms
+from tsprep import cache_store, fetch, physionet, tensorfile, transforms
 from tsprep.splits import SplitSpec, rng_from_seed, stratified_split
 from tsprep.tensor_core import (
     DATA,
@@ -270,28 +282,14 @@ def _ingest(config: PipelineConfig, root: Path, workers: int):
     return _ingest_2019(raw, workers, binary=kind == PHYSIONET2019_BINARY)
 
 
-def _check_bounds(directory: Path, X: np.ndarray, y: np.ndarray, length: np.ndarray) -> None:
-    """Raise :class:`~tsprep.cache_store.CacheCorrupt` unless ``length.bin``
-    bounds the rows of ``X.bin``: one length of at least 1 per row of
-    ``y.bin``, summing to the row count of a 2-D ``X.bin``. Matching digests
-    cannot show this, as they cannot show that ``dataset_info`` fits
-    ``X.bin``, which the manifest's schema checks."""
-    if (length < 1).any():
-        raise cache_store.CacheCorrupt(f"{directory}: length.bin holds a length below 1")
-    if X.ndim != 2 or int(length.sum()) != len(X) or len(y) != len(length):
-        raise cache_store.CacheCorrupt(
-            f"{directory}: length.bin ({len(length)} lengths summing to {int(length.sum())}) "
-            f"does not bound X.bin of shape {X.shape} and y.bin of shape {y.shape}"
-        )
-
-
 def _master(config: PipelineConfig, root: Path, workers: int):
     if not config.overwrite_cache:
         try:
             X, y, length, meta = cache_store.load(root, config.key)
-            _check_bounds(cache_store.entry_dir(root, config.key), X, y, length)
+            tensorfile.check_bounds(cache_store.entry_dir(root, config.key), length,
+                                    X.shape, y.shape)
             return X, y, length, meta["dataset_info"]
-        except cache_store.CacheCorrupt as err:
+        except (cache_store.CacheCorrupt, tensorfile.TensorFileError) as err:
             logger.warning("rebuilding corrupt cache entry: %s", err)
         except cache_store.CacheMiss:
             pass
@@ -351,31 +349,36 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
         if np.max(config.missing) > 0:
             X = transforms.simulate_missing(X, lengths, config.missing, config.seed)
 
-    with _step(4, "append time/mask/delta channels"):
-        X_out, layout = _assemble_channels(config, X, lengths, info)
-        ragged = Ragged.of_lengths(X_out, lengths)
-    del X  # the master: from here on only the assembled output is held
-
+    # Step 5 reads only the targets, and step 6's statistics read only the
+    # data channels of the training steps, which step 4 copies unchanged from
+    # the master: both run first, so that one pass over the output's row
+    # blocks then assembles, standardises and imputes each block in turn.
     with _step(5, "stratified split"):
         assignment = stratified_split(_strata(config, y), config.split_spec())
         split_of_index = assignment.split_of_index(len(lengths))
 
-    # the training steps of the contiguous data block, record after record:
-    # one gather of real steps, which gives the padded statistics bitwise
-    train_idx = np.flatnonzero(split_of_index == SPLIT_CODES["train"])
-    train_steps = ragged.row_index(train_idx)
-    data = layout.data_slice
+    is_train = split_of_index == SPLIT_CODES["train"]
+    layout = _layout(config, info)
+    X_out = np.empty((len(X), layout.n_channels))
     with _step(6, "standardise"):
-        stats = channel_stats(X_out[train_steps, data], lengths[train_idx], categorical=cat_cols)
+        # one gather of the training steps, record after record, gives the
+        # padded statistics bitwise; standardised in place, it is what
+        # imputation sees, for the fill statistics. It is held in the front
+        # of the output's memory, which no block is written to before step 4,
+        # so it needs no allocation of its own, which the C allocator could
+        # keep on the heap, once freed, while the master and output are held
+        n_train = int(lengths[is_train].sum())
+        train = X_out.reshape(-1)[: n_train * d].reshape(n_train, d)
+        _train_steps(X, lengths, is_train, train)
+        stats = channel_stats(train, lengths[is_train], categorical=cat_cols)
         if config.standardise:
-            standardise_in_place(X_out, layout, stats)
+            standardise_in_place(train, ChannelLayout(layout.channels[layout.data_slice]), stats)
 
+    fill = None
     with _step(7, "impute"):
         if callable(config.impute) or config.impute != "none":
-            # fill statistics are taken from the training split as imputation
-            # sees it, i.e. post-standardisation when that step ran
             fill_stats = (
-                channel_stats(X_out[train_steps, data], lengths[train_idx], categorical=cat_cols)
+                channel_stats(train, lengths[is_train], categorical=cat_cols)
                 if config.standardise
                 else stats
             )
@@ -385,26 +388,34 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
                 categorical=cat_cols,
                 channel_means=mean_overrides,
             )
-            if callable(config.impute):
-                # a custom method may look across rows, so it sees one split
-                # at a time, padded; it may write into the padding too, so
-                # each sequence keeps its steps up to the last one written
-                y = y.astype(np.float64, copy=True)
-                kept = [None] * len(lengths)
-                for code in np.unique(split_of_index):
-                    rows = np.flatnonzero(split_of_index == code)
-                    X_rows, y[rows] = transforms.impute(
-                        ragged.pad(rows), y[rows], lengths[rows], layout.data_indices,
-                        config.impute, fill,
-                    )
-                    for i, X_i, k in zip(rows, X_rows, _written_steps(X_rows, lengths[rows])):
-                        kept[i] = X_i[:k]
-                ragged = Ragged.of_lengths(np.concatenate(kept), [len(k) for k in kept],
-                                           ragged.steps)
-            else:
-                # built-in methods fill each row from itself and the
-                # training-only fill values: all rows at once is the same
-                transforms.impute_in_place(X_out, lengths, data, config.impute, fill)
+    del train
+
+    with _step(4, "append time/mask/delta channels"):
+        # built-in methods fill each row from its own sequence and the
+        # training-only fill values, so they run block by block
+        X_out, layout = _assemble_channels(
+            config, X, lengths, info, stats, None if callable(config.impute) else fill, X_out
+        )
+        ragged = Ragged.of_lengths(X_out, lengths)
+    del X  # the master: from here on only the assembled output is held
+
+    if callable(config.impute):
+        with _step(7, "impute"):
+            # a custom method may look across rows, so it sees one split at a
+            # time, padded; it may write into the padding too, so each
+            # sequence keeps its steps up to the last one written
+            y = y.astype(np.float64, copy=True)
+            kept = [None] * len(lengths)
+            for code in np.unique(split_of_index):
+                rows = np.flatnonzero(split_of_index == code)
+                X_rows, y[rows] = transforms.impute(
+                    ragged.pad(rows), y[rows], lengths[rows], layout.data_indices,
+                    config.impute, fill,
+                )
+                for i, X_i, k in zip(rows, X_rows, _written_steps(X_rows, lengths[rows])):
+                    kept[i] = X_i[:k]
+            ragged = Ragged.of_lengths(np.concatenate(kept), [len(k) for k in kept],
+                                       ragged.steps)
 
     with _step(8, "bind split views"):
         dataset = Dataset(
@@ -432,18 +443,41 @@ def _written_steps(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.maximum(lengths, np.where(written.any(axis=1), last, 0))
 
 
-def _assemble_channels(
-    config: PipelineConfig, X: np.ndarray, lengths: np.ndarray, info: dict
-) -> tuple[np.ndarray, ChannelLayout]:
-    """Step 4 on the master's real steps ``(sum of lengths, c)``: the output
-    is allocated once, and the time stamp, data, mask and delta blocks are
-    written into their channel slices of it."""
-    c = X.shape[1]
+def _row_blocks(lengths: np.ndarray, row_bytes: int):
+    """Consecutive blocks of whole sequences as ``(i, j, start, end)``:
+    sequences ``i:j``, which hold rows ``start:end``. A block holds at most
+    ``tensorfile.BLOCK_BYTES`` at ``row_bytes`` per row, unless it is one
+    sequence that alone holds more."""
+    stops = np.cumsum(lengths)
+    rows = max(1, tensorfile.BLOCK_BYTES // row_bytes)
+    i, start = 0, 0
+    while i < len(lengths):
+        j = max(i + 1, int(np.searchsorted(stops, start + rows, side="right")))
+        end = int(stops[j - 1])
+        yield i, j, start, end
+        i, start = j, end
+
+
+def _train_steps(
+    X: np.ndarray, lengths: np.ndarray, is_train: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the data channels of the training sequences' steps, record after
+    record, into ``out`` (``(sum of their lengths, d)``), gathered one row
+    block of the master ``X`` at a time, so no index over every row is held."""
+    filled = 0
+    for i, j, start, end in _row_blocks(lengths, X.shape[1] * X.itemsize):
+        rows = np.flatnonzero(np.repeat(is_train[i:j], lengths[i:j]))
+        # in range by construction; "wrap" keeps np.take from buffering
+        np.take(X[start:end, 1:], rows, axis=0, out=out[filled : filled + len(rows)], mode="wrap")
+        filled += len(rows)
+
+
+def _layout(config: PipelineConfig, info: dict) -> ChannelLayout:
+    """The output channels: time stamp, data, then mask and delta channels
+    of the source channels."""
     time_name = info["time_channel"]
     data_names = list(info["channels"])
-    cover = slice(0, c) if info["mask_covers_time"] else slice(1, c)
     cover_names = ([time_name] + data_names) if info["mask_covers_time"] else data_names
-
     channels: list[Channel] = []
     if config.time:
         channels.append(Channel(name=time_name, kind=TIME))
@@ -452,18 +486,57 @@ def _assemble_channels(
         channels.extend(Channel(name=f"mask_{name}", kind=MASK) for name in cover_names)
     if config.delta:
         channels.extend(Channel(name=f"delta_{name}", kind=DELTA) for name in cover_names)
-    layout = ChannelLayout(channels=tuple(channels))
+    return ChannelLayout(channels=tuple(channels))
 
-    m = len(cover_names)
-    out = np.empty((len(X), layout.n_channels))
+
+def _assemble_channels(
+    config: PipelineConfig,
+    X: np.ndarray,
+    lengths: np.ndarray,
+    info: dict,
+    stats: Optional[ChannelStats] = None,
+    fill: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, ChannelLayout]:
+    """Step 4 on the master's real steps ``(sum of lengths, c)``: the output
+    is allocated once (or given as ``out``), and the time stamp, data, mask
+    and delta blocks are written into their channel slices of it.
+
+    The output is written one row block of whole sequences at a time
+    (:func:`_row_blocks`), and each block then gets the steps that follow
+    while it is still in cache: standardisation by ``stats`` (step 6, when
+    ``config.standardise``) and built-in imputation from ``fill`` (step 7,
+    when ``fill`` is given). No transform looks past a sequence, so the
+    blocks give the bytes of one pass over all rows."""
+    c = X.shape[1]
+    layout = _layout(config, info)
+    cover = slice(0, c) if info["mask_covers_time"] else slice(1, c)
+    m = cover.stop - cover.start
     first = 0 if config.time else 1
-    col = c - first
-    out[:, :col] = X[:, first:]
-    if config.mask:
-        mask = transforms.observational_mask(X[:, cover], lengths, out=out[:, col : col + m])
-        col += m
-    elif config.delta:
-        mask = ~np.isnan(X[:, cover])
-    if config.delta:
-        transforms.time_delta(X[:, 0], mask, lengths, out=out[:, col : col + m])
+    if out is None:
+        out = np.empty((len(X), layout.n_channels))
+    for i, j, start, end in _row_blocks(lengths, out.shape[1] * out.itemsize):
+        source, block, block_lengths = X[start:end], out[start:end], lengths[i:j]
+        col = c - first
+        block[:, :col] = source[:, first:]
+        if config.mask:
+            mask = transforms.observational_mask(
+                source[:, cover], block_lengths, out=block[:, col : col + m]
+            )
+            col += m
+        elif config.delta:
+            mask = ~np.isnan(source[:, cover])
+        if config.delta:
+            try:
+                transforms.time_delta(source[:, 0], mask, block_lengths,
+                                      out=block[:, col : col + m])
+            except transforms.StampError as err:  # name the sequence, not its place in the block
+                raise transforms.StampError(i + err.sequence) from None
+        if stats is not None and config.standardise:
+            with _step(6, "standardise"):
+                standardise_in_place(block, layout, stats)
+        if fill is not None:
+            with _step(7, "impute"):
+                transforms.impute_in_place(block, block_lengths, layout.data_slice,
+                                           config.impute, fill)
     return out, layout

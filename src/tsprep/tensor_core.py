@@ -162,12 +162,6 @@ class Ragged:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def row_index(self, rows: np.ndarray) -> np.ndarray:
-        """Positions in ``values`` of the rows of sequences ``rows``, in order."""
-        starts = self.offsets[rows]
-        counts = self.offsets[np.asarray(rows) + 1] - starts
-        return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-
     def pad(self, rows=None, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The padded form of sequences ``rows`` (every one when None),
         ``(len(rows), steps, c)``, written into ``out`` when given.
@@ -361,22 +355,35 @@ def channel_stats(
     return ChannelStats(mean=mean, std=std, mode=mode, count=count)
 
 
+def channel_slices(n: int) -> list[slice]:
+    """The channels of an array with ``n`` of them, as the slices an
+    elementwise pass takes one at a time: all ``n`` at once, or one channel
+    at a time when there are fewer than 16. numpy's inner loop runs along
+    the last axis, so over a few channels of a wider array it pays one call
+    per row."""
+    return [slice(0, n)] if n >= 16 else [slice(c, c + 1) for c in range(n)]
+
+
 def standardise_in_place(X: np.ndarray, layout: ChannelLayout, stats: ChannelStats) -> None:
     """Apply the training-split transform ``(x - mean) / std`` to every data
     channel of ``X`` (ragged rows or a padded array), overwriting it.
 
-    One subtraction and one division over the data block: channels without
-    training observations use mean 0 and std 1 (so they pass through
-    unchanged), and a zero or undefined std acts as 1. Time, mask and delta
-    channels are not touched and NaNs stay NaN.
+    One subtraction and one division over the data block (or over each of
+    a few data channels, :func:`channel_slices`): channels without training
+    observations use mean 0 and std 1 (so they pass through unchanged), and
+    a zero or undefined std acts as 1. Time, mask and delta channels are not
+    touched and NaNs stay NaN.
     """
     block = X[..., layout.data_slice]
     if block.shape[-1] != len(stats.mean):
         raise ValueError("stats do not match the layout's data channels")
     available = stats.available
     usable_sd = available & np.isfinite(stats.std) & (stats.std != 0.0)
-    np.subtract(block, np.where(available, stats.mean, 0.0), out=block)
-    np.divide(block, np.where(usable_sd, stats.std, 1.0), out=block)
+    shift = np.where(available, stats.mean, 0.0)
+    scale = np.where(usable_sd, stats.std, 1.0)
+    for part in channel_slices(block.shape[-1]):
+        np.subtract(block[..., part], shift[part], out=block[..., part])
+        np.divide(block[..., part], scale[part], out=block[..., part])
 
 
 def standardise(X: np.ndarray, layout: ChannelLayout, stats: ChannelStats) -> np.ndarray:

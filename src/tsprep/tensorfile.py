@@ -233,6 +233,23 @@ def check_entry(path: Path, entry: dict, source) -> None:
         raise TensorFileError(f"{path}: header holds {found}, manifest states {stated}")
 
 
+def check_bounds(directory: Path, length: np.ndarray, X_shape, y_shape) -> None:
+    """Raise :class:`TensorFileError` unless ``length.bin`` of the cache
+    entry ``directory`` bounds the rows of its ``X.bin`` (cache format 3):
+    one length of at least 1 per row of ``y.bin``, summing to the row count
+    of a 2-D ``X.bin``. Matching digests cannot show this, as they cannot
+    show that ``dataset_info`` fits ``X.bin``, which :func:`check_manifest`
+    checks."""
+    if (length < 1).any():
+        raise TensorFileError(f"{directory}: length.bin holds a length below 1")
+    if (length.ndim != 1 or len(X_shape) != 2 or int(length.sum()) != X_shape[0]
+            or list(y_shape[:1]) != [len(length)]):
+        raise TensorFileError(
+            f"{directory}: length.bin ({len(length)} lengths summing to {int(length.sum())}) "
+            f"does not bound X.bin of shape {tuple(X_shape)} and y.bin of shape {tuple(y_shape)}"
+        )
+
+
 def _integer(value) -> bool:
     """an integer"""
     return type(value) is int
@@ -381,10 +398,17 @@ def _intact(path: Path, entry: dict) -> bool:
 def verify_dir(directory: Path) -> list[str]:
     """Names of the blobs of a tensor directory that are missing, whose
     header differs from their ``files`` entry or whose SHA256, read from
-    disk, differs from the manifest; empty means intact."""
+    disk, differs from the manifest, and, in a cache entry whose blobs are
+    intact, ``length.bin`` when it does not bound ``X.bin``
+    (:func:`check_bounds`, the check a build makes); empty means intact."""
     directory = Path(directory)
-    return [
-        name
-        for name, entry in sorted(read_manifest(directory)["files"].items())
-        if not _intact(directory / name, entry)
-    ]
+    manifest = read_manifest(directory)
+    files = manifest["files"]
+    bad = [name for name, entry in sorted(files.items()) if not _intact(directory / name, entry)]
+    if "split_sizes" not in manifest and not bad:
+        try:
+            check_bounds(directory, read_tensor(directory / "length.bin"),
+                         files["X.bin"]["shape"], files["y.bin"]["shape"])
+        except TensorFileError:
+            bad.append("length.bin")
+    return bad

@@ -6,6 +6,15 @@ c)``), cut into sequences by ``lengths``. Each also accepts the padded
 ``(n, s, c)`` form, whose real steps (:func:`~tsprep.tensor_core.real_steps`)
 it transforms the same way.
 
+No transform looks past the sequences it is given, so any row block of
+whole sequences can be transformed on its own: the pipeline calls the mask,
+delta and built-in imputation one block at a time. Time deltas and forward
+fill have no loop over sequences; both read one index per row and channel,
+``_last_observed``: the last observed row at or before it within its
+sequence, a running maximum over the flat rows floored at each sequence's
+first row. It is taken one channel at a time, so its integer temporaries
+are 1-D.
+
 Conventions shared by every transform here:
 
 * the padding region (``t >= length[i]``) of a padded array is NaN on the
@@ -23,7 +32,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from tsprep.splits import XoshiroLanes, substream_seed
-from tsprep.tensor_core import ChannelStats, real_steps
+from tsprep.tensor_core import ChannelStats, channel_slices, real_steps
 from tsprep.util import round_half_up
 
 MissingSpec = Union[float, Sequence[float]]
@@ -118,11 +127,49 @@ def observational_mask(
         out = np.empty(np.shape(X))
     elif out.shape != np.shape(X):
         raise ValueError(f"out has shape {out.shape}, expected {np.shape(X)}")
-    np.isnan(X, out=out)  # 1.0 where missing
-    np.subtract(1.0, out, out=out)
+    for part in channel_slices(out.shape[-1]):
+        np.isnan(X[..., part], out=out[..., part])  # 1.0 where missing
+        np.subtract(1.0, out[..., part], out=out[..., part])
     if out.ndim == 3:
         out[~real_steps(lengths, out.shape[1])] = np.nan
     return out
+
+
+class StampError(ValueError):
+    """The time stamps of sequence ``sequence`` are not strictly increasing
+    (or one is NaN)."""
+
+    def __init__(self, sequence: int) -> None:
+        super().__init__(f"sequence {sequence}: time stamps must be strictly increasing")
+        self.sequence = sequence
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """The first row of each sequence that has one."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return (np.cumsum(lengths) - lengths)[lengths > 0]
+
+
+def _last_observed(observed: np.ndarray, starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each row of one channel, the last row at or before it within its
+    sequence that is ``observed``, counting a sequence's first row as
+    observed: a running maximum of the observed row numbers (``rows``, the
+    numbers ``0, 1, ...``) over the flat rows, floored at each first row,
+    which no earlier row can exceed."""
+    last = rows * observed
+    last[starts] = starts
+    return np.maximum.accumulate(last, out=last)
+
+
+def _check_stamps(times: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> None:
+    """Raise :class:`StampError` for the first sequence whose stamps are NaN
+    or not strictly increasing."""
+    rising = np.empty(len(times), dtype=bool)
+    np.greater(times[1:], times[:-1], out=rising[1:])  # False where either is NaN
+    rising[starts] = ~np.isnan(times[starts])  # a first stamp has none before it
+    if not rising.all():
+        row = int(np.argmin(rising))
+        raise StampError(int(np.searchsorted(np.cumsum(lengths), row, side="right")))
 
 
 def time_delta(
@@ -135,9 +182,11 @@ def time_delta(
     that is 1 or True where observed); padded ``(n, s)`` stamps and an
     ``(n, s, m)`` mask are accepted too, and their padding stays NaN. Step 0
     of a sequence is zero by definition; a missing step accumulates:
-    delta[t] = times[t] - times[prev], where ``prev``, a running maximum, is
-    the last observed step before ``t``, or 0 if none. ``out``, an array of
-    ``mask``'s shape, receives the deltas in place of a new array.
+    delta[t] = times[t] - times[prev], where ``prev`` is the last observed
+    step before ``t``, or 0 if none (:func:`_last_observed` at ``t - 1``).
+    ``out``, an array of ``mask``'s shape, receives the deltas in place of a
+    new array. Stamps that are NaN or not strictly increasing within a
+    sequence raise :class:`StampError` naming the first such sequence.
     """
     if out is None:
         out = np.empty(mask.shape)
@@ -148,18 +197,14 @@ def time_delta(
         out[valid] = time_delta(times[valid], mask[valid], lengths)
         out[~valid] = np.nan
         return out
-    stops = np.cumsum(lengths)
-    for i, (start, stop) in enumerate(zip((stops - lengths).tolist(), stops.tolist())):
-        if start == stop:
-            continue
-        t = times[start:stop]
-        if np.isnan(t).any() or (np.diff(t) <= 0).any():
-            raise ValueError(f"sequence {i}: time stamps must be strictly increasing")
-        observed = mask[start : stop - 1] == 1.0
-        steps = np.arange(stop - start - 1)[:, None]
-        prev = np.maximum.accumulate(np.where(observed, steps, 0), axis=0)
-        out[start + 1 : stop] = t[1:, None] - t[prev]
-        out[start] = 0.0
+    starts = _starts(lengths)
+    _check_stamps(times, lengths, starts)
+    rows = np.arange(len(times))
+    observed = mask if mask.dtype == bool else mask == 1.0
+    for c in range(mask.shape[1]):
+        prev = _last_observed(observed[:, c], starts, rows)[:-1]
+        np.subtract(times[1:], times[prev], out=out[1:, c])
+        out[starts, c] = 0.0
     return out
 
 
@@ -199,16 +244,6 @@ def build_fill(
                 f"channels {bad} have no training observations and no channel_means override"
             )
     return fill
-
-
-def _forward_fill(block: np.ndarray, fill: np.ndarray) -> np.ndarray:
-    """Carry the previous observation forward along axis 0: rows of ``[fill
-    | block]`` are read at the running maximum of the observed row numbers,
-    so initial gaps take row 0, the per-channel fill."""
-    rows = np.vstack([fill[None, :], block])
-    steps = np.arange(len(rows))[:, None]
-    last = np.maximum.accumulate(np.where(np.isnan(rows), 0, steps), axis=0)
-    return np.take_along_axis(rows, last, axis=0)[1:]
 
 
 def impute(
@@ -253,7 +288,9 @@ def impute_in_place(
 
     Each sequence is filled from its own steps and ``fill`` alone, so
     filling all rows at once equals filling any partition of them
-    separately.
+    separately. Forward fill carries each channel's last observation
+    forward (:func:`_last_observed`); the gaps before a sequence's first
+    observation then take the fill value, as mean and zero fill every gap.
     """
     if method not in ("zero", "mean", "forward"):
         raise ValueError(f"unknown imputation method {method!r}")
@@ -262,11 +299,14 @@ def impute_in_place(
         steps = X[valid]
         impute_in_place(steps, lengths, columns, method, fill)
         X[valid] = steps
-    elif method == "forward":
-        stops = np.cumsum(lengths)
-        for start, stop in zip((stops - lengths).tolist(), stops.tolist()):
-            X[start:stop, columns] = _forward_fill(X[start:stop, columns], fill)
-    else:
-        for value, c in zip(fill, np.arange(X.shape[1])[columns], strict=True):
-            column = X[:, c]
-            np.copyto(column, value, where=np.isnan(column))
+        return
+    if method == "forward":
+        starts, rows = _starts(lengths), np.arange(len(X))
+    for value, c in zip(fill, np.arange(X.shape[1])[columns], strict=True):
+        column = X[:, c]
+        gap = np.isnan(column)
+        if method == "forward":
+            last = _last_observed(~gap, starts, rows)
+            column[:] = column[last]
+            gap = gap[last]  # a gap before the first observation of its sequence
+        np.copyto(column, value, where=gap)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tsprep import batching, cache_store, export, pipeline, tensor_core
+from tsprep import batching, cache_store, export, pipeline, tensor_core, tensorfile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -66,3 +66,28 @@ def test_series_count_hook_counts_the_series_of_a_parse():
     text = "@univariate false\n@classLabel true a b\n@data\n1,2:3,4:a\n5:6:b\n7:?:a\n"
     result = pipeline.parse_ts_file(text)
     assert load_tracing()._series_count((text,), result) == {"items": 3}
+
+
+def test_a_traced_build_records_steps_4_to_7_once_per_block(
+    physionet2019_root, copy_tree, monkeypatch
+):
+    """The benchmark's per-layer times of steps 4-7 are spans around the
+    functions the row-block pass calls; it must call them through their
+    module attributes, once per block, or ``transforms.delta_s`` reads 0."""
+    tracing = load_tracing()
+    monkeypatch.setattr(tensorfile, "BLOCK_BYTES", 16 << 10)
+    config = pipeline.PipelineConfig(
+        dataset="physionet2019", split="train", train_prop=0.7, val_prop=0.15, seed=1,
+        mask=True, delta=True, standardise=True, impute="forward",
+        path=copy_tree(physionet2019_root),
+    )
+    with tracing.installed(tracing.Tracer()) as tracer:
+        dataset = pipeline.build(config)
+    spans = tracing.SpanIndex(tracer.spans)
+    row_bytes = dataset.layout.n_channels * dataset.ragged.dtype.itemsize
+    blocks = len(list(pipeline._row_blocks(dataset.length_full, row_bytes)))
+    assert blocks > 1
+    under = ("pipeline.build",)
+    assert spans.count("transforms.observational_mask", under) == blocks
+    assert spans.count("transforms.time_delta", under) == blocks
+    assert spans.count("tensor_core.channel_stats", under) == 2  # statistics and fill statistics

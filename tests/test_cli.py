@@ -6,7 +6,7 @@ import pytest
 
 from tsprep.cache_store import entry_dir
 from tsprep.cli import main
-from tsprep.tensorfile import HEADER_SIZE, read_tensor
+from tsprep.tensorfile import HEADER_SIZE, read_tensor, write_tensor
 
 
 def run(argv):
@@ -280,6 +280,29 @@ def test_validate_cache_entry(prepared_arrowhead, capsys):
     blob.write_bytes(bytes(data))
     assert run(["validate", cache]) == 1
     assert "X.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["one_step_more", "zero_length"])
+def test_validate_cache_entry_whose_lengths_do_not_bound_X_exits_1(
+    prepared_arrowhead, capsys, damage
+):
+    """A build rebuilds an entry whose length.bin does not bound X.bin, though
+    every digest matches: validate reports it too."""
+    cache = entry_dir(prepared_arrowhead, "uea_arrowhead")
+    lengths = read_tensor(cache / "length.bin").copy()
+    if damage == "one_step_more":
+        lengths[0] += 1
+    else:
+        lengths[1] += lengths[0]
+        lengths[0] = 0
+    manifest = json.loads((cache / "manifest.json").read_text())
+    manifest["files"]["length.bin"]["sha256"] = write_tensor(cache / "length.bin", lengths, "i64")
+    (cache / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["validate", cache]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"corrupt: {cache / 'length.bin'}\n"
+    assert "checksums match" not in captured.out
 
 
 @pytest.mark.parametrize("edit", ["one_channel_more", "channels_not_a_list"])

@@ -1,4 +1,5 @@
-"""Bounded memory: step 4 allocates its output once, steps 1-7 hold only the
+"""Bounded memory: step 4 allocates its output once, steps 6-7 add one gather
+of the training steps and per-block temporaries, steps 1-7 hold only the
 real time steps, and the writers stream row blocks instead of copying whole
 splits.
 
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsprep import export, pipeline
+from tsprep import export, pipeline, tensorfile, transforms
 from tsprep.pipeline import PipelineConfig
 from tsprep.tensor_core import Channel, ChannelLayout, Dataset, channel_stats
 
@@ -81,20 +82,58 @@ def test_write_prepared_never_copies_a_whole_split(tmp_path, monkeypatch):
     assert export.verify_manifest_files(tmp_path / "prepared") == []
 
 
-@pytest.mark.parametrize("covers_time", [False, True], ids=["uea", "physionet"])
-def test_assemble_channels_peak_is_its_output(covers_time):
-    rng = np.random.RandomState(1)
-    n, s, d = 200, 100, 10
+def ragged_master(n=200, s=100, d=10, seed=1):
+    """The real steps of an ``(n, s, 1 + d)`` master, record after record,
+    30% missing, and its lengths."""
+    rng = np.random.RandomState(seed)
     lengths = rng.randint(1, s + 1, n).astype(np.int64)
     X = rng.randn(n, s, 1 + d)
     X[rng.rand(n, s, 1 + d) < 0.3] = np.nan
     X[:, :, 0] = np.arange(s)
-    X = X[np.arange(s)[None, :] < lengths[:, None]]  # the real steps, record after record
+    return X[np.arange(s)[None, :] < lengths[:, None]], lengths
+
+
+@pytest.mark.parametrize("covers_time", [False, True], ids=["uea", "physionet"])
+def test_assemble_channels_peak_is_its_output(covers_time):
+    d = 10
+    X, lengths = ragged_master(d=d)
     info = {"time_channel": "t", "channels": [f"c{i}" for i in range(d)], "mask_covers_time": covers_time}
     config = PipelineConfig(dataset="Demo", split="train", train_prop=0.7, mask=True, delta=True)
     peak, (out, _) = traced_peak(lambda: pipeline._assemble_channels(config, X, lengths, info))
     assert out.shape == (lengths.sum(), 1 + 3 * d + 2 * covers_time)
     assert peak <= 1.1 * out.nbytes
+
+
+@pytest.mark.parametrize("impute", ["forward", "mean"])
+def test_steps_6_and_7_allocate_one_train_gather_and_one_block(monkeypatch, impute):
+    """Steps 6 and 7 use one ``(N_train, d)`` gather of the training steps
+    (which the build places in the output's memory) and, beyond it and the
+    output, only per-block temporaries: on four times the sequences, what
+    gathering and the fused pass allocate beyond them grows by less than one
+    block. (``channel_stats``, unchanged by the blocks, keeps one channel's
+    observed values at a time.)"""
+    block = 64 << 10
+    monkeypatch.setattr(tensorfile, "BLOCK_BYTES", block)
+    d = 10
+    info = {"time_channel": "t", "channels": [f"c{i}" for i in range(d)], "mask_covers_time": True}
+    config = PipelineConfig(dataset="Demo", split="train", train_prop=0.7, mask=True, delta=True,
+                            standardise=True, impute=impute)
+    one, one_lengths = ragged_master(d=d)
+    excess = []
+    for copies in (1, 4):
+        X, lengths = np.concatenate([one] * copies), np.tile(one_lengths, copies)
+        is_train = np.arange(len(lengths)) % 10 < 7
+        train = np.empty((int(lengths[is_train].sum()), d))
+        peak, _ = traced_peak(lambda: pipeline._train_steps(X, lengths, is_train, train))
+        stats = channel_stats(train, lengths[is_train])
+        fill = transforms.build_fill(stats, impute)
+        peak_pass, (out, _) = traced_peak(
+            lambda: pipeline._assemble_channels(config, X, lengths, info, stats, fill)
+        )
+        assert train.nbytes > 4 * block and out.nbytes > 4 * block
+        excess.append((peak, peak_pass - out.nbytes))
+    assert excess[1][0] - excess[0][0] < block
+    assert excess[1][1] - excess[0][1] < block
 
 
 def test_warm_build_of_a_mostly_padded_dataset_allocates_under_half_its_padded_output(

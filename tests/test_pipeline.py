@@ -634,6 +634,56 @@ def test_assemble_channels_equals_a_concatenate_reference(time, mask, delta, cov
     assert layout.n_channels == out.shape[1]
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, 40])
+@pytest.mark.parametrize("case", ["physionet2019", "uea"])
+def test_row_blocks_do_not_change_a_byte(
+    physionet2019_root, traj_root, copy_tree, tmp_path, monkeypatch, case, block_rows
+):
+    """Steps 4, 6 and 7 run one row block of whole sequences at a time: blocks
+    of a few rows give the prepared bytes of the default block, which holds
+    every fixture row. With blocks this small some sequence is longer than a
+    block (alone in its own) and some block starts on an unobserved row."""
+    if case == "physionet2019":  # forward fill, mask and delta cover the time stamp
+        config = _2019_config(copy_tree(physionet2019_root), mask=True, delta=True,
+                              standardise=True, impute="forward")
+    else:  # per-channel simulated missingness, mean imputation
+        config = PipelineConfig(
+            dataset="Traj3", split="train", train_prop=0.6, val_prop=0.2, seed=31,
+            missing=[0.5, 0.2, 0.35], mask=True, delta=True, standardise=True, impute="mean",
+            path=copy_tree(traj_root),
+        )
+    whole = build(config)
+    row_bytes = whole.layout.n_channels * whole.ragged.dtype.itemsize
+    assert whole.ragged.values.nbytes <= tensorfile.BLOCK_BYTES  # one block by default
+    monkeypatch.setattr(tensorfile, "BLOCK_BYTES", block_rows * row_bytes)
+    blocked = build(config)
+    assert _prepared_digests(blocked, config, tmp_path / "blocked") == _prepared_digests(
+        whole, config, tmp_path / "whole"
+    )
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        dataclasses.astuple(blocked.stats), dataclasses.astuple(whole.stats), strict=True))
+
+    blocks = list(pipeline._row_blocks(whole.length_full, row_bytes))
+    assert (whole.length_full > block_rows).any() and len(blocks) > 1
+    mask = whole.ragged.values[:, whole.layout.indices(MASK)]
+    assert any((mask[start] == 0).any() for _, _, start, _ in blocks[1:])
+
+
+def test_a_stamp_error_names_the_sequence_not_its_place_in_a_block(monkeypatch):
+    X, lengths = _uneven_master()
+    steps = X[np.arange(X.shape[1])[None, :] < lengths[:, None]]
+    bad = int(lengths[:3].sum()) + 1  # step 1 of sequence 3, the third of its block
+    steps[bad, 0] = steps[bad - 1, 0]
+    info = {"time_channel": "t", "channels": ["a", "b", "c"], "mask_covers_time": True}
+    config = PipelineConfig(dataset="Demo", split="train", train_prop=0.7, delta=True)
+    monkeypatch.setattr(tensorfile, "BLOCK_BYTES", 12 * 8 * 8)  # 12 rows of 8 channels
+    assert [(i, j) for i, j, _, _ in pipeline._row_blocks(lengths, 8 * 8)] == [
+        (0, 1), (1, 4), (4, 6), (6, 7)
+    ]
+    with pytest.raises(transforms.StampError, match=r"^sequence 3: time stamps must be strictly"):
+        pipeline._assemble_channels(config, steps, lengths, info)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -733,9 +783,10 @@ def test_cache_entry_whose_lengths_do_not_bound_X_is_rebuilt(
         lengths[1] += lengths[0]
         lengths[0] = 0
     _rewrite_blob(entry, "length.bin", lengths)
-    assert cache_store.verify(entry) == []
+    assert cache_store.verify(entry) == ["length.bin"]  # every digest matches
     with caplog.at_level(logging.WARNING):
         rebuilt = build(config)
     assert any("corrupt" in r.message and "length.bin" in r.message for r in caplog.records)
+    assert cache_store.verify(entry) == []
     assert rebuilt.X_full.tobytes() == clean.X_full.tobytes()
     assert rebuilt.length_full.tobytes() == clean.length_full.tobytes()

@@ -5,6 +5,7 @@ from test_splits import choose
 from tsprep.splits import Xoshiro256StarStar, substream_seed
 from tsprep.tensor_core import ChannelStats, channel_stats
 from tsprep.transforms import (
+    StampError,
     build_fill,
     impute,
     observational_mask,
@@ -461,3 +462,80 @@ def test_forward_fill_known_answer(seed, nan_fill):
         want[i, :L] = reference_forward_fill(X[i, :L], fill)
     got, _ = impute(X, np.zeros((len(X), 1)), lengths, np.arange(d), "forward", fill)
     same_bytes(got, want)
+
+
+def edge_case(seed, n=12, s=8, d=5):
+    """Ragged rows with length-1 sequences first, last and between others, a
+    channel never observed, one observed only at each sequence's last step,
+    one observed only at its first, and first steps left unobserved; stamps
+    restart in every sequence."""
+    rng = np.random.RandomState(seed)
+    lengths = rng.randint(1, s + 1, size=n).astype(np.int64)
+    lengths[[0, n // 2, n - 1]] = 1
+    X = np.full((n, s, d), np.nan)
+    times = np.full((n, s), np.nan)
+    for i, L in enumerate(lengths):
+        block = rng.randn(L, d)
+        block[rng.rand(L, d) < 0.5] = np.nan
+        block[0, 3:] = np.nan  # first step unobserved
+        block[:, 0] = np.nan  # never observed
+        block[:, 1] = np.nan
+        block[L - 1, 1] = rng.randn()  # observed only at the last step
+        block[1:, 2] = np.nan  # observed only at the first step
+        X[i, :L] = block
+        times[i, :L] = np.cumsum(rng.rand(L) + 0.25) - 3.0
+    return X, times, lengths
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_edge_cases_match_the_references(seed):
+    """The loop-free delta and forward fill equal the per-sequence references
+    bitwise, on ragged rows as on the padded form."""
+    X, times, lengths = edge_case(seed)
+    real = np.arange(X.shape[1])[None, :] < lengths[:, None]
+    mask = observational_mask(X, lengths)
+    want_delta = reference_time_delta(times, mask, lengths)
+    same_bytes(time_delta(times, mask, lengths), want_delta)
+    same_bytes(time_delta(times[real], mask[real], lengths), want_delta[real])
+    same_bytes(time_delta(times[real], ~np.isnan(X[real]), lengths), want_delta[real])
+
+    fill = np.random.RandomState(seed).randn(X.shape[2])
+    want_filled = X.copy()
+    for i, L in enumerate(lengths):
+        want_filled[i, :L] = reference_forward_fill(X[i, :L], fill)
+    columns = np.arange(X.shape[2])
+    got, _ = impute(X, np.zeros((len(X), 1)), lengths, columns, "forward", fill)
+    same_bytes(got, want_filled)
+    got, _ = impute(X[real], np.zeros((len(X), 1)), lengths, columns, "forward", fill)
+    same_bytes(got, want_filled[real])
+
+
+def first_bad_sequence(times, lengths):
+    """The per-sequence check as first written: NaN or a step that does not rise."""
+    for i, L in enumerate(lengths):
+        t = times[i, :L]
+        if np.isnan(t).any() or (np.diff(t) <= 0).any():
+            return i
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bad_stamps_name_the_first_bad_sequence(seed):
+    X, times, lengths = edge_case(seed)
+    rng = np.random.RandomState(1000 + seed)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(len(lengths))
+        t = rng.randint(lengths[i])
+        if rng.rand() < 0.4:
+            times[i, t] = np.nan  # also a length-1 sequence's only stamp
+        elif t > 0:
+            times[i, t] = times[i, t - 1] - rng.choice([0.0, 0.5])  # equal or falling
+        else:
+            times[i, 0] = np.nan if lengths[i] == 1 else times[i, 1]
+    want = first_bad_sequence(times, lengths)
+    assert want is not None
+    real = np.arange(X.shape[1])[None, :] < lengths[:, None]
+    mask = observational_mask(X, lengths)
+    for stamps, marks in ((times, mask), (times[real], mask[real])):
+        with pytest.raises(StampError, match=rf"^sequence {want}: time stamps must be strictly increasing$"):
+            time_delta(stamps, marks, lengths)
