@@ -12,12 +12,11 @@ complete entries; one of an older format fails the schema (or, before
 format 2, has no manifest) and is rebuilt.
 """
 
-import hashlib
 from pathlib import Path
 
 import numpy as np
 
-from tsprep.tensorfile import CACHE_BLOBS, ManifestError, TensorFileError, check_entry, file_entry
+from tsprep.tensorfile import CACHE_BLOBS, ManifestError, TensorFileError, file_entry
 from tsprep.tensorfile import publish, read_manifest, read_tensor, write_tensor
 from tsprep.tensorfile import verify_dir as verify  # the one verifier, under the cache's name
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
@@ -67,8 +66,9 @@ def load(root: Path, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict
     blob); a manifest naming another key is a plain :class:`CacheMiss`. The
     manifest is checked before any blob read.
 
-    Each blob is hashed while it is read, in one pass, and the digest is
-    checked against the manifest before the arrays are returned.
+    Each blob is read once, by :func:`~tsprep.tensorfile.read_tensor`,
+    which checks its header and digest against its ``files`` entry before
+    the arrays are returned.
     """
     directory = entry_dir(root, key)
     if not directory.is_dir():
@@ -82,13 +82,9 @@ def load(root: Path, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict
         raise CacheMiss(f"{directory}: entry was built for {manifest['dataset']!r}")
     arrays = []
     for name in CACHE_BLOBS:
-        digest, entry = hashlib.sha256(), manifest["files"][name]
         try:
-            arrays.append(read_tensor(directory / name, digest))
-            check_entry(directory / name, entry, arrays[-1])
+            arrays.append(read_tensor(directory / name, manifest["files"][name]))
         except (TensorFileError, OSError) as err:
             raise CacheCorrupt(f"{directory}: bad {name}: {err}") from None
-        if digest.hexdigest() != entry["sha256"]:
-            raise CacheCorrupt(f"{directory}: checksum mismatch for {name}")
     X, y, length = arrays
     return X, y, length, manifest

@@ -26,7 +26,7 @@ import tsprep
 from tsprep import tensorfile
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Dataset
-from tsprep.tensorfile import Rows, TensorFile, check_entry, file_entry, publish, read_tensor
+from tsprep.tensorfile import Rows, TensorFile, file_entry, publish, read_tensor
 from tsprep.tensorfile import split_blobs, write_tensor
 from tsprep.tensorfile import verify_dir as verify_manifest_files  # the one verifier
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
@@ -106,8 +106,7 @@ def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Pa
     check_replaceable(out_dir)
     with publish(out_dir, "prepared", {**manifest, "exported_dtype": dtype}) as (tmp, files):
         for name, entry in manifest["files"].items():
-            source = TensorFile(prepared_dir / name)
-            check_entry(source.path, entry, source)
+            source = TensorFile(prepared_dir / name, entry)
             code = "i64" if name.startswith("length") else dtype
             files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
     return out_dir / "manifest.json"
@@ -115,12 +114,16 @@ def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Pa
 
 def missingness_rates(directory: Path) -> dict[str, dict[str, float]]:
     """Per-channel NaN rate inside the valid (unpadded) region, per split;
-    each ``X`` blob is read one row block at a time."""
+    each ``X`` blob is read one row block at a time. A blob whose header
+    differs from its ``files`` entry, or a ``length`` blob whose digest
+    does, is refused (:class:`~tsprep.tensorfile.TensorFileError`)."""
+    directory = Path(directory)
     manifest = read_manifest(directory)
+    files = manifest["files"]
     rates: dict[str, dict[str, float]] = {}
     for split in manifest["split_sizes"]:
-        X = TensorFile(Path(directory) / f"X_{split}.bin")
-        length = read_tensor(Path(directory) / f"length_{split}.bin")
+        X = TensorFile(directory / f"X_{split}.bin", files[f"X_{split}.bin"])
+        length = read_tensor(directory / f"length_{split}.bin", files[f"length_{split}.bin"])
         steps = np.arange(X.shape[1])
         nan_count = np.zeros(X.shape[2], dtype=np.int64)
         valid_count = start = 0

@@ -49,7 +49,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from tsprep import cache_store, fetch, physionet, tensorfile, transforms
-from tsprep.splits import SplitSpec, rng_from_seed, stratified_split
+from tsprep.splits import SplitSpec, stratified_split
 from tsprep.tensor_core import (
     DATA,
     DELTA,

@@ -20,6 +20,10 @@ exports) holds such files plus a ``manifest.json`` whose ``files`` map gives
 each blob ``{sha256, shape, dtype}``. This module owns that format:
 :data:`SCHEMA` lists the keys of each kind, :func:`check_manifest` checks
 them on every read (:func:`read_manifest`) and every write (:func:`publish`).
+It also owns the check of a blob against its entry: readers pass the entry
+to :class:`TensorFile` or :func:`read_tensor`, which refuse a header that
+differs from it; :func:`read_tensor` also checks the digest of the bytes it
+reads.
 """
 
 import hashlib
@@ -42,7 +46,6 @@ HEADER_SIZE = 96
 BLOCK_BYTES = 1 << 20  # bytes per row block that the writer and block reader hold
 
 DTYPE_OF_CODE = {"f32": "<f4", "f64": "<f8", "i64": "<i8"}
-CODE_OF_KIND = {("f", 4): "f32", ("f", 8): "f64", ("i", 8): "i64"}
 
 MANIFEST_VERSION = 1  # manifest_version of prepared and export directories
 CACHE_FORMAT_VERSION = 3  # format_version of cache entries: X.bin holds real steps only
@@ -56,13 +59,6 @@ class TensorFileError(ValueError):
 
 class ManifestError(ValueError):
     """Missing or malformed manifest."""
-
-
-def code_for(array: np.ndarray) -> str:
-    try:
-        return CODE_OF_KIND[(array.dtype.kind, array.dtype.itemsize)]
-    except KeyError:
-        raise TensorFileError(f"unsupported dtype {array.dtype}") from None
 
 
 def _block_rows(shape: tuple[int, ...], itemsize: int) -> int:
@@ -116,12 +112,13 @@ class Rows:
 
 class TensorFile:
     """A tensor file read in row blocks, for payloads too large to hold
-    twice; the header is checked against the file size when opened."""
+    twice; the header is checked against the file size and against the
+    blob's ``files`` ``entry`` when opened (:func:`_read_header`)."""
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, entry: dict) -> None:
         self.path = Path(path)
         with open(self.path, "rb") as f:
-            _, self.dtype, self.shape = _read_header(self.path, f)
+            _, self.dtype, self.shape = _read_header(self.path, f, entry)
 
     def blocks(self, itemsize: int = 0):
         """Yield the payload in row blocks, as :meth:`Rows.blocks` does, read
@@ -138,9 +135,10 @@ class TensorFile:
                 yield block
 
 
-def write_tensor(path: Path, array, code: str | None = None) -> str:
+def write_tensor(path: Path, array, code: str) -> str:
     """Write an array, the rows of a :class:`Rows` or the tensor of a
-    :class:`TensorFile`; ``code`` converts on the way out (e.g. f64 -> f32).
+    :class:`TensorFile` as element type ``code``, converting on the way out
+    where the source differs (e.g. f64 -> f32).
 
     The one writer: the payload goes out one row block at a time, converted
     into a reused buffer where ``code`` differs, so memory beyond the source
@@ -148,8 +146,6 @@ def write_tensor(path: Path, array, code: str | None = None) -> str:
     with each block as written, so the file is never read back.
     """
     source = array if isinstance(array, (Rows, TensorFile)) else Rows(array)
-    if code is None:
-        code = code_for(source)
     if code not in DTYPE_OF_CODE:
         raise TensorFileError(f"unknown element type code {code!r}")
     dtype = np.dtype(DTYPE_OF_CODE[code])
@@ -174,9 +170,10 @@ def write_tensor(path: Path, array, code: str | None = None) -> str:
     return digest.hexdigest()
 
 
-def _read_header(path: Path, f) -> tuple[bytes, np.dtype, tuple[int, ...]]:
+def _read_header(path: Path, f, entry: dict | None) -> tuple[bytes, np.dtype, tuple[int, ...]]:
     """Read and parse the header of the open file ``f``; checks that the
-    payload size matches it."""
+    payload size matches it and, unless ``entry`` is None, that it holds the
+    element type and shape that the blob's ``files`` entry states."""
     header = f.read(HEADER_SIZE)
     if len(header) < HEADER_SIZE or not header.startswith(MAGIC):
         raise TensorFileError(f"{path}: not a tensor file")
@@ -193,25 +190,31 @@ def _read_header(path: Path, f) -> tuple[bytes, np.dtype, tuple[int, ...]]:
     size = os.fstat(f.fileno()).st_size - HEADER_SIZE
     if size != expected:
         raise TensorFileError(f"{path}: payload is {size} bytes, expected {expected}")
+    if entry is not None:
+        found, stated = (code, list(shape)), (entry["dtype"], entry["shape"])
+        if found != stated:
+            raise TensorFileError(f"{path}: header holds {found}, manifest states {stated}")
     return header, dtype, shape
 
 
-def read_tensor(path: Path, digest=None) -> np.ndarray:
+def read_tensor(path: Path, entry: dict | None = None) -> np.ndarray:
     """Read one array into a fresh buffer that the returned array owns.
 
-    ``digest`` (a ``hashlib`` object) is updated with every byte of the
-    file as read, so a caller can check a checksum without reading the file
-    a second time.
+    Given the blob's ``files`` ``entry``, the header is checked against it
+    (:func:`_read_header`) and the SHA256 of the bytes just read against
+    its digest, so the file is opened and read once.
     """
     with open(path, "rb") as f:
-        header, dtype, shape = _read_header(path, f)
+        header, dtype, shape = _read_header(path, f, entry)
         buffer = bytearray(math.prod(shape) * dtype.itemsize)
         got = f.readinto(buffer)
     if got != len(buffer):
         raise TensorFileError(f"{path}: payload is {got} bytes, expected {len(buffer)}")
-    if digest is not None:
-        digest.update(header)
+    if entry is not None:
+        digest = hashlib.sha256(header)
         digest.update(buffer)
+        if digest.hexdigest() != entry["sha256"]:
+            raise TensorFileError(f"{path}: checksum mismatch")
     return np.frombuffer(buffer, dtype=dtype).reshape(shape)
 
 
@@ -223,14 +226,6 @@ def split_blobs(splits) -> set[str]:
 def file_entry(digest: str, array: np.ndarray, code: str) -> dict:
     """The ``files`` entry of a blob that :func:`write_tensor` wrote."""
     return {"sha256": digest, "shape": list(array.shape), "dtype": code}
-
-
-def check_entry(path: Path, entry: dict, source) -> None:
-    """Raise :class:`TensorFileError` unless ``source`` (an array or a
-    :class:`TensorFile`) has the element type and shape ``entry`` states."""
-    found, stated = (code_for(source), list(source.shape)), (entry["dtype"], entry["shape"])
-    if found != stated:
-        raise TensorFileError(f"{path}: header holds {found}, manifest states {stated}")
 
 
 def check_bounds(directory: Path, length: np.ndarray, X_shape, y_shape) -> None:
@@ -389,7 +384,7 @@ def publish(final: Path, kind: str, fields: dict) -> Iterator[tuple[Path, dict]]
 
 def _intact(path: Path, entry: dict) -> bool:
     try:
-        check_entry(path, entry, TensorFile(path))
+        TensorFile(path, entry)
     except (OSError, TensorFileError):
         return False
     return sha256_file(path) == entry["sha256"]
@@ -407,7 +402,7 @@ def verify_dir(directory: Path) -> list[str]:
     bad = [name for name, entry in sorted(files.items()) if not _intact(directory / name, entry)]
     if "split_sizes" not in manifest and not bad:
         try:
-            check_bounds(directory, read_tensor(directory / "length.bin"),
+            check_bounds(directory, read_tensor(directory / "length.bin", files["length.bin"]),
                          files["X.bin"]["shape"], files["y.bin"]["shape"])
         except TensorFileError:
             bad.append("length.bin")

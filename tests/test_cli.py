@@ -539,3 +539,21 @@ def test_info_on_a_corrupt_blob_exits_1_and_prints_only_the_corrupt_blobs(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"corrupt: {blob}\n"
+
+
+@pytest.mark.parametrize("name", ["X_train.bin", "length_train.bin"])
+def test_info_on_a_blob_disagreeing_with_its_files_entry_exits_1(prepared_arrowhead, capsys, name):
+    """A valid tensor of another shape than its files entry states (X with
+    one channel fewer, one length fewer) is refused with one error line
+    naming it, not a traceback."""
+    out = prepared_dir(prepared_arrowhead)
+    blob = out / name
+    array = read_tensor(blob)
+    write_tensor(blob, array[..., :-1] if name.startswith("X") else array[:-1],
+                 "f64" if name.startswith("X") else "i64")
+    capsys.readouterr()
+    assert run(["info", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {blob}: header holds ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
