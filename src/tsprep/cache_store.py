@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tsprep.tensorfile import CACHE_BLOBS, ManifestError, TensorFileError, file_entry
+from tsprep.tensorfile import CACHE_BLOBS, ManifestError, TensorFileError
 from tsprep.tensorfile import publish, read_manifest, read_tensor, write_tensor
 from tsprep.tensorfile import verify_dir as verify  # the one verifier, under the cache's name
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
@@ -55,7 +55,7 @@ def save(root: Path, key: str, X: np.ndarray, y: np.ndarray, length: np.ndarray,
     with publish(entry_dir(root, key), "cache",
                  {"dataset": key, "dataset_info": dataset_info}) as (tmp, files):
         for name, array, code in zip(CACHE_BLOBS, (X, y, length), ("f64", "f64", "i64")):
-            files[name] = file_entry(write_tensor(tmp / name, array, code), array, code)
+            files[name] = write_tensor(tmp / name, array, code)
 
 
 def load(root: Path, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:

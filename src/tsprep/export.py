@@ -26,7 +26,7 @@ import tsprep
 from tsprep import tensorfile
 from tsprep.pipeline import ConfigError, PipelineConfig
 from tsprep.tensor_core import SPLIT_CODES, Dataset
-from tsprep.tensorfile import Rows, TensorFile, file_entry, publish, read_tensor
+from tsprep.tensorfile import Rows, TensorFile, publish, read_tensor
 from tsprep.tensorfile import split_blobs, write_tensor
 from tsprep.tensorfile import verify_dir as verify_manifest_files  # the one verifier
 from tsprep.util import sha256_file  # unused here, but perfbench/tracing.py wraps it
@@ -81,8 +81,7 @@ def write_prepared(dataset: Dataset, config: PipelineConfig, out_dir: Path) -> P
             for stem, full, code in (("X", dataset.ragged, "f64"), ("y", dataset.y_full, "f64"),
                                      ("length", dataset.length_full, "i64")):
                 name = f"{stem}_{split}.bin"
-                source = Rows(full, rows)
-                files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
+                files[name] = write_tensor(tmp / name, Rows(full, rows), code)
     return out_dir / "manifest.json"
 
 
@@ -106,9 +105,8 @@ def export_prepared(prepared_dir: Path, out_dir: Path, dtype: str = "f32") -> Pa
     check_replaceable(out_dir)
     with publish(out_dir, "prepared", {**manifest, "exported_dtype": dtype}) as (tmp, files):
         for name, entry in manifest["files"].items():
-            source = TensorFile(prepared_dir / name, entry)
             code = "i64" if name.startswith("length") else dtype
-            files[name] = file_entry(write_tensor(tmp / name, source, code), source, code)
+            files[name] = write_tensor(tmp / name, TensorFile(prepared_dir / name, entry), code)
     return out_dir / "manifest.json"
 
 

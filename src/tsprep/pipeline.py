@@ -403,7 +403,8 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
         with _step(7, "impute"):
             # a custom method may look across rows, so it sees one split at a
             # time, padded; it may write into the padding too, so each
-            # sequence keeps its steps up to the last one written
+            # sequence keeps its steps up to the last one written (at least
+            # its length, so the longest kept is still the padded width)
             y = y.astype(np.float64, copy=True)
             kept = [None] * len(lengths)
             for code in np.unique(split_of_index):
@@ -414,8 +415,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
                 )
                 for i, X_i, k in zip(rows, X_rows, _written_steps(X_rows, lengths[rows])):
                     kept[i] = X_i[:k]
-            ragged = Ragged.of_lengths(np.concatenate(kept), [len(k) for k in kept],
-                                       ragged.steps)
+            ragged = Ragged.of_lengths(np.concatenate(kept), [len(k) for k in kept])
 
     with _step(8, "bind split views"):
         dataset = Dataset(

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from tsprep.tensor_core import SPLIT_CODES
 from tsprep.util import round_half_up
 
 _MASK64 = (1 << 64) - 1
@@ -239,11 +240,10 @@ class SplitAssignment:
     test: np.ndarray
 
     def split_of_index(self, n: int) -> np.ndarray:
-        """Per-sequence codes: 0 train, 1 val, 2 test."""
+        """Per-sequence codes of :data:`~tsprep.tensor_core.SPLIT_CODES`."""
         out = np.full(n, -1, dtype=np.int8)
-        out[self.train] = 0
-        out[self.val] = 1
-        out[self.test] = 2
+        for split, code in SPLIT_CODES.items():
+            out[getattr(self, split)] = code
         if (out < 0).any():
             raise ValueError("assignment does not cover all indices")
         return out

@@ -136,12 +136,12 @@ class Ragged:
         object.__setattr__(self, "dense", self.values.reshape(self.shape) if dense else None)
 
     @classmethod
-    def of_lengths(cls, values: np.ndarray, lengths, steps: Optional[int] = None) -> "Ragged":
+    def of_lengths(cls, values: np.ndarray, lengths) -> "Ragged":
         """Rows ``values`` cut into sequences of ``lengths`` rows, padded to
-        ``steps`` (the longest by default)."""
+        the longest."""
         lengths = np.asarray(lengths, dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(lengths)])
-        return cls(values, offsets, int(lengths.max(initial=0)) if steps is None else steps)
+        return cls(values, offsets, int(lengths.max(initial=0)))
 
     @classmethod
     def of_padded(cls, X: np.ndarray) -> "Ragged":

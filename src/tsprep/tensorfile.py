@@ -20,10 +20,10 @@ exports) holds such files plus a ``manifest.json`` whose ``files`` map gives
 each blob ``{sha256, shape, dtype}``. This module owns that format:
 :data:`SCHEMA` lists the keys of each kind, :func:`check_manifest` checks
 them on every read (:func:`read_manifest`) and every write (:func:`publish`).
-It also owns the check of a blob against its entry: readers pass the entry
-to :class:`TensorFile` or :func:`read_tensor`, which refuse a header that
-differs from it; :func:`read_tensor` also checks the digest of the bytes it
-reads.
+A blob's entry is its one handle: :func:`write_tensor` returns it, and every
+reader takes it (:class:`TensorFile`, :func:`read_tensor`) and refuses a
+header that differs from it; :func:`read_tensor` also checks the digest of
+the bytes it reads.
 """
 
 import hashlib
@@ -135,15 +135,15 @@ class TensorFile:
                 yield block
 
 
-def write_tensor(path: Path, array, code: str) -> str:
+def write_tensor(path: Path, array, code: str) -> dict:
     """Write an array, the rows of a :class:`Rows` or the tensor of a
     :class:`TensorFile` as element type ``code``, converting on the way out
     where the source differs (e.g. f64 -> f32).
 
     The one writer: the payload goes out one row block at a time, converted
     into a reused buffer where ``code`` differs, so memory beyond the source
-    stays within two blocks. Returns the SHA256 hex digest of the file, fed
-    with each block as written, so the file is never read back.
+    stays within two blocks. Returns the blob's ``files`` entry, whose
+    SHA256 is fed with each block as written, so the file is never read back.
     """
     source = array if isinstance(array, (Rows, TensorFile)) else Rows(array)
     if code not in DTYPE_OF_CODE:
@@ -167,13 +167,13 @@ def write_tensor(path: Path, array, code: str) -> str:
             data = memoryview(block.reshape(-1).view(np.uint8))
             digest.update(data)
             f.write(data)
-    return digest.hexdigest()
+    return {"sha256": digest.hexdigest(), "shape": list(source.shape), "dtype": code}
 
 
-def _read_header(path: Path, f, entry: dict | None) -> tuple[bytes, np.dtype, tuple[int, ...]]:
+def _read_header(path: Path, f, entry: dict) -> tuple[bytes, np.dtype, tuple[int, ...]]:
     """Read and parse the header of the open file ``f``; checks that the
-    payload size matches it and, unless ``entry`` is None, that it holds the
-    element type and shape that the blob's ``files`` entry states."""
+    payload size matches it and that it holds the element type and shape
+    that the blob's ``files`` ``entry`` states."""
     header = f.read(HEADER_SIZE)
     if len(header) < HEADER_SIZE or not header.startswith(MAGIC):
         raise TensorFileError(f"{path}: not a tensor file")
@@ -190,17 +190,16 @@ def _read_header(path: Path, f, entry: dict | None) -> tuple[bytes, np.dtype, tu
     size = os.fstat(f.fileno()).st_size - HEADER_SIZE
     if size != expected:
         raise TensorFileError(f"{path}: payload is {size} bytes, expected {expected}")
-    if entry is not None:
-        found, stated = (code, list(shape)), (entry["dtype"], entry["shape"])
-        if found != stated:
-            raise TensorFileError(f"{path}: header holds {found}, manifest states {stated}")
+    found, stated = (code, list(shape)), (entry["dtype"], entry["shape"])
+    if found != stated:
+        raise TensorFileError(f"{path}: header holds {found}, manifest states {stated}")
     return header, dtype, shape
 
 
-def read_tensor(path: Path, entry: dict | None = None) -> np.ndarray:
+def read_tensor(path: Path, entry: dict) -> np.ndarray:
     """Read one array into a fresh buffer that the returned array owns.
 
-    Given the blob's ``files`` ``entry``, the header is checked against it
+    The header is checked against the blob's ``files`` ``entry``
     (:func:`_read_header`) and the SHA256 of the bytes just read against
     its digest, so the file is opened and read once.
     """
@@ -210,22 +209,16 @@ def read_tensor(path: Path, entry: dict | None = None) -> np.ndarray:
         got = f.readinto(buffer)
     if got != len(buffer):
         raise TensorFileError(f"{path}: payload is {got} bytes, expected {len(buffer)}")
-    if entry is not None:
-        digest = hashlib.sha256(header)
-        digest.update(buffer)
-        if digest.hexdigest() != entry["sha256"]:
-            raise TensorFileError(f"{path}: checksum mismatch")
+    digest = hashlib.sha256(header)
+    digest.update(buffer)
+    if digest.hexdigest() != entry["sha256"]:
+        raise TensorFileError(f"{path}: checksum mismatch")
     return np.frombuffer(buffer, dtype=dtype).reshape(shape)
 
 
 def split_blobs(splits) -> set[str]:
     """Blob names of a prepared or export directory holding ``splits``."""
     return {f"{stem}_{split}.bin" for stem in ("X", "y", "length") for split in splits}
-
-
-def file_entry(digest: str, array: np.ndarray, code: str) -> dict:
-    """The ``files`` entry of a blob that :func:`write_tensor` wrote."""
-    return {"sha256": digest, "shape": list(array.shape), "dtype": code}
 
 
 def check_bounds(directory: Path, length: np.ndarray, X_shape, y_shape) -> None:
@@ -365,11 +358,12 @@ def read_manifest(directory: Path, kind: str | None = None) -> dict:
 def publish(final: Path, kind: str, fields: dict) -> Iterator[tuple[Path, dict]]:
     """Publish a tensor directory of ``kind`` whole (:func:`staged_dir`).
 
-    Yields ``(tmp, files)``: the caller writes its blobs into ``tmp`` and
-    their :func:`file_entry` into ``files``. Then ``fields``, the version
-    key, ``created_utc`` and ``files`` are checked (:func:`check_manifest`)
-    and written as canonical JSON (sorted keys, 2-space indent), so no
-    writer publishes a manifest that its reader would refuse."""
+    Yields ``(tmp, files)``: the caller writes its blobs into ``tmp`` with
+    :func:`write_tensor` and stores the entry it returns under the blob's
+    name in ``files``. Then ``fields``, the version key, ``created_utc`` and
+    ``files`` are checked (:func:`check_manifest`) and written as canonical
+    JSON (sorted keys, 2-space indent), so no writer publishes a manifest
+    that its reader would refuse."""
     final = Path(final)
     with staged_dir(final) as tmp:
         files: dict[str, dict] = {}

@@ -24,6 +24,11 @@ from tsprep.util import staged_dir
 OLD, NEW = 5.0, 1.0  # value offsets of the directory replaced and of its replacement
 
 
+def read_blob(directory, name):
+    """Blob ``name`` of a prepared directory, checked against its manifest entry."""
+    return read_tensor(directory / name, read_manifest(directory)["files"][name])
+
+
 def small_dataset(has_test=True, offset=NEW):
     n = 6
     X = np.arange(n * 3 * 2, dtype=float).reshape(n, 3, 2) + offset
@@ -65,7 +70,7 @@ def src(tmp_path):
 
 def _assert_only_new_directory(out):
     assert verify_manifest_files(out) == []
-    np.testing.assert_array_equal(read_tensor(out / "X_train.bin"), small_dataset().X_train)
+    np.testing.assert_array_equal(read_blob(out, "X_train.bin"), small_dataset().X_train)
     assert [p.name for p in out.parent.iterdir()] == [out.name]  # no .tmp or .old sibling
 
 
@@ -109,7 +114,7 @@ def test_rerun_with_fewer_splits_leaves_no_stale_blobs(tmp_path, writer):
 def test_export_in_place_replaces_the_prepared_directory(src):
     export_prepared(src, src, "f32")
     assert verify_manifest_files(src) == []
-    X = read_tensor(src / "X_train.bin")
+    X = read_blob(src, "X_train.bin")
     assert X.dtype == np.float32
     np.testing.assert_array_equal(X, small_dataset().X_train.astype(np.float32))
     assert read_manifest(src)["exported_dtype"] == "f32"
@@ -132,7 +137,7 @@ def test_out_dir_given_as_a_link_keeps_the_link(tmp_path):
     prepare(link)
     assert link.is_symlink()
     assert verify_manifest_files(real) == []
-    np.testing.assert_array_equal(read_tensor(real / "X_train.bin"), small_dataset().X_train)
+    np.testing.assert_array_equal(read_blob(real, "X_train.bin"), small_dataset().X_train)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
 
 
@@ -333,8 +338,8 @@ def _missingness_reference(directory):
     manifest = read_manifest(directory)
     rates = {}
     for split in manifest["split_sizes"]:
-        X = read_tensor(directory / f"X_{split}.bin")
-        length = read_tensor(directory / f"length_{split}.bin")
+        X = read_blob(directory, f"X_{split}.bin")
+        length = read_blob(directory, f"length_{split}.bin")
         valid = np.arange(X.shape[1])[None, :] < length[:, None]
         rates[split] = {
             name: float(np.isnan(X[:, :, c][valid]).mean()) if valid.any() else 0.0

@@ -1,9 +1,15 @@
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsprep
 from tsprep import physionet
 from tsprep.physionet import (
     PHYSIONET_2012_CHANNELS,
@@ -343,6 +349,65 @@ def test_pool_gets_four_chunks_per_process_in_path_order(monkeypatch):
     # the identity as the parser: the result is the paths, in path order
     assert physionet._read_parallel(paths, lambda x: x, workers=2) == paths
     assert TaskCountingPool.tasks == [8]
+
+
+# Run as a script, with the ``__main__`` guard that the README asks of
+# callers whose start method is spawn or forkserver: the workers re-import it.
+_START_METHOD_SCRIPT = textwrap.dedent("""
+    import multiprocessing
+    import os
+    import sys
+    from pathlib import Path
+
+    from tsprep import physionet
+
+
+    class CountingPool(physionet.ProcessPoolExecutor):
+        made = 0
+
+        def __init__(self, *args, **kwargs):
+            CountingPool.made += 1
+            super().__init__(*args, **kwargs)
+
+
+    def fields(loaded):
+        records, labels, dropped = loaded
+        return ([(r.record_id, r.times.tobytes(), r.values.tobytes(), r.step_labels.tobytes())
+                 for r in records], labels.tobytes(), dropped)
+
+
+    if __name__ == "__main__":
+        method, raw = sys.argv[1], Path(sys.argv[2])
+        multiprocessing.set_start_method(method)
+        os.cpu_count = lambda: 2
+        physionet.ProcessPoolExecutor = CountingPool
+        pooled = fields(physionet.load_records_2019(raw, workers=2))
+        assert CountingPool.made == 1, "the pool was not used"
+        serial = fields(physionet.load_records_2019(raw, workers=1))
+        assert CountingPool.made == 1, "workers=1 made a pool"
+        assert pooled == serial, "the pooled parse differs from the serial one"
+        assert multiprocessing.get_start_method() == method
+        print(len(pooled[0]), "records equal under", method)
+""")
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_under_each_start_method_equals_the_serial_parse(physionet2019_root, tmp_path, method):
+    """The workers of a spawn or forkserver pool re-import tsprep and the
+    calling script; their records equal the in-process parse bit for bit."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    script = tmp_path / "load_pooled.py"
+    script.write_text(_START_METHOD_SCRIPT)
+    raw = physionet2019_root / ".torchtime" / "raw" / "physionet2019"
+    package_root = str(Path(tsprep.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", str(script), method, str(raw)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"16 records equal under {method}\n"
 
 
 def test_2012_pool_size_is_bounded(physionet2012_root, monkeypatch):
