@@ -13,6 +13,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from tsprep.splits import Xoshiro256StarStar
+from tsprep.tensor_core import real_steps
 
 
 @dataclass
@@ -104,7 +105,7 @@ def pack(batch: Batch, per_step_y: Optional[bool] = None) -> PackedBatch:
     )
 
     s_max = int(lengths[0])
-    batch_sizes = (lengths[None, :] > np.arange(s_max)[:, None]).sum(axis=1, dtype=np.int64)
+    batch_sizes = real_steps(lengths, s_max).sum(axis=0, dtype=np.int64)
     # one gather of every (row, step) entry, time-major, from the unsorted batch
     ranks, steps = _time_major(batch_sizes)
     rows = order[ranks]
@@ -120,8 +121,9 @@ def pack(batch: Batch, per_step_y: Optional[bool] = None) -> PackedBatch:
 
 
 def unpack(packed: PackedBatch) -> Batch:
-    """Restore the NaN-padded batch in descending-length order, i.e.
-    ``unpack(pack(b))`` equals ``sort_by_length(b)``."""
+    """Restore the NaN-padded batch in descending-length order, cut to its
+    longest step: ``unpack(pack(b))`` equals ``sort_by_length(b)`` with ``X``
+    and a per-step ``y`` cut to ``max(b.length)`` steps."""
     batch_sizes = packed.batch_sizes
     b, s_max = int(batch_sizes[0]), len(batch_sizes)
     # one scatter of every packed entry back to its (rank, step)

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import tsprep
-from tsprep import cache_store, export, fetch
+from tsprep import cache_store, export, fetch, transforms
 from tsprep.pipeline import BuildError, ConfigError, PipelineConfig, build
 from tsprep.tensorfile import ManifestError, TensorFileError, verify_dir
 
@@ -42,7 +42,7 @@ def _add_prepare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-prop", type=float, required=True)
     p.add_argument("--val-prop", type=float, default=None)
     p.add_argument("--missing", default="0", help="proportion to drop, or one per channel")
-    p.add_argument("--impute", default="none", choices=["none", "zero", "mean", "forward"])
+    p.add_argument("--impute", default="none", choices=transforms.IMPUTE_METHODS)
     p.add_argument("--categorical", default="", help="comma list of channel indices")
     p.add_argument("--channel-means", default="", help="overrides like 1=4.5,3=7.2")
     p.add_argument("--time", action=argparse.BooleanOptionalAction, default=True,

@@ -25,7 +25,7 @@ import numpy as np
 import tsprep
 from tsprep import tensorfile
 from tsprep.pipeline import ConfigError, PipelineConfig
-from tsprep.tensor_core import SPLIT_CODES, Dataset
+from tsprep.tensor_core import SPLIT_CODES, Dataset, real_steps
 from tsprep.tensorfile import Rows, TensorFile, publish, read_tensor
 from tsprep.tensorfile import split_blobs, write_tensor
 from tsprep.tensorfile import verify_dir as verify_manifest_files  # the one verifier
@@ -122,11 +122,10 @@ def missingness_rates(directory: Path) -> dict[str, dict[str, float]]:
     for split in manifest["split_sizes"]:
         X = TensorFile(directory / f"X_{split}.bin", files[f"X_{split}.bin"])
         length = read_tensor(directory / f"length_{split}.bin", files[f"length_{split}.bin"])
-        steps = np.arange(X.shape[1])
         nan_count = np.zeros(X.shape[2], dtype=np.int64)
         valid_count = start = 0
         for block in X.blocks():
-            valid = steps[None, :] < length[start : start + len(block), None]
+            valid = real_steps(length[start : start + len(block)], X.shape[1])
             nan_count += (np.isnan(block) & valid[:, :, None]).sum(axis=(0, 1))
             valid_count += int(valid.sum())
             start += len(block)

@@ -64,7 +64,6 @@ from tsprep.tensor_core import (
     append_time_channel,  # unused here, but perfbench/tracing.py wraps pipeline.append_time_channel
     channel_stats,
     pad_to_longest,
-    real_steps,
     standardise,  # unused here, but perfbench/tracing.py wraps pipeline.standardise
     standardise_in_place,
 )
@@ -273,10 +272,7 @@ def _ingest(config: PipelineConfig, root: Path, workers: int):
     raw = fetch.raw_dir(root, fetch.source(config.dataset).name)
     if kind == UEA:
         X, y, lengths, info = _ingest_uea(raw, config.dataset)
-        n, s, c = X.shape
-        # equal lengths: the padded master is its real steps, reshaped
-        steps = X.reshape(n * s, c) if (lengths == s).all() else X[real_steps(lengths, s)]
-        return steps, y, lengths, info
+        return Ragged.of_padded(X, lengths).values, y, lengths, info
     if kind == PHYSIONET2012:
         return _ingest_2012(raw, workers)
     return _ingest_2019(raw, workers, binary=kind == PHYSIONET2019_BINARY)

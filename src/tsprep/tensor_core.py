@@ -3,13 +3,15 @@ standardisation.
 
 A dataset's sequences live in one :class:`Ragged`: the real time steps of
 every sequence, record after record, as one float64 array of rows ``(sum of
-lengths, c)`` with per-sequence bounds. NaN in it means a missing
-observation. Steps 1-7 of the pipeline and the transforms work on these rows
-only, so their cost follows the real steps, not the padded size.
+lengths, c)`` with per-sequence bounds, and nothing else but a custom
+imputation's writes past a length. NaN in it means a missing observation.
+Steps 1-7 of the pipeline and the transforms work on these rows only, so
+their cost follows the real steps, not the padded size.
 
 The padded convention, an ``(n, s, c)`` array whose entry ``[i, t, :]`` is NaN
-for every ``t >= length[i]``, exists only where a tensor leaves tsprep:
-:meth:`Ragged.pad` makes it for the rows asked for. ``Dataset.X_full``, the
+for every ``t >= length[i]``, exists only where a tensor enters or leaves
+tsprep, and only :class:`Ragged` converts to it (:meth:`Ragged.pad`, for the
+rows asked for) and from it (:meth:`Ragged.of_padded`). ``Dataset.X_full``, the
 split accessors and ``Dataset.tensors`` pad on access and copy;
 ``batching.batches`` pads one batch and the writers (:mod:`tsprep.export`)
 one row block at a time, so their peak is the real-step output plus a
@@ -109,46 +111,44 @@ def real_steps(lengths: np.ndarray, steps: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Ragged:
     """Sequences of unequal length as one array of rows: sequence ``i`` is
-    ``values[offsets[i]:offsets[i + 1]]`` (the flat values plus bounds of
-    Arrow's ``ListArray``). Its padded form is ``(n, steps, c)``, NaN after
-    each sequence's rows.
-
-    Built by the pipeline, a sequence's rows are its real steps; built from
-    a padded array (:meth:`of_padded`), every sequence keeps all ``steps``
-    rows, so that array is its padded form, padding and all. ``dense`` is
-    the padded form as a view of ``values`` when every sequence has
-    ``steps`` rows, else None.
+    ``values[offsets[i]:offsets[i + 1]]``, its real steps (the flat values
+    plus bounds of Arrow's ``ListArray``); a custom imputation's writes past
+    a sequence's length are the one exception, kept as more rows. Its padded
+    form is ``(n, steps, c)``, NaN after each sequence's rows, ``steps``
+    being the longest sequence's row count.
     """
 
     values: np.ndarray
     offsets: np.ndarray
-    steps: int
 
     def __post_init__(self) -> None:
         offsets = np.asarray(self.offsets, dtype=np.int64)
         object.__setattr__(self, "offsets", offsets)
         counts = np.diff(offsets)
         if (self.values.ndim != 2 or offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0
-                or offsets[-1] != len(self.values) or (counts < 0).any()
-                or counts.max(initial=0) > self.steps):
-            raise ValueError("offsets must bound the rows of a 2-D values array within steps")
+                or offsets[-1] != len(self.values) or (counts < 0).any()):
+            raise ValueError("offsets must bound the rows of a 2-D values array")
+        object.__setattr__(self, "steps", int(counts.max(initial=0)))
         dense = (counts == self.steps).all()
-        object.__setattr__(self, "dense", self.values.reshape(self.shape) if dense else None)
+        object.__setattr__(self, "_dense", self.values.reshape(self.shape) if dense else None)
 
     @classmethod
     def of_lengths(cls, values: np.ndarray, lengths) -> "Ragged":
-        """Rows ``values`` cut into sequences of ``lengths`` rows, padded to
-        the longest."""
+        """Rows ``values`` cut into sequences of ``lengths`` rows."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        return cls(values, offsets, int(lengths.max(initial=0)))
+        return cls(values, np.concatenate([[0], np.cumsum(lengths)]))
 
     @classmethod
-    def of_padded(cls, X: np.ndarray) -> "Ragged":
-        """An ``(n, s, c)`` array as ``n`` sequences of ``s`` rows each (a
-        reshape, no copy, when ``X`` is contiguous)."""
+    def of_padded(cls, X: np.ndarray, lengths) -> "Ragged":
+        """The real steps of a padded ``(n, s, c)`` array whose sequences have
+        ``lengths`` steps: a reshape, no copy, when every length is ``s``,
+        else one gather."""
         n, s, c = X.shape
-        return cls(X.reshape(n * s, c), np.arange(n + 1) * s, s)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (n,) or (lengths > s).any():
+            raise ValueError(f"need one length per sequence, none past the padded width {s}")
+        values = X.reshape(n * s, c) if (lengths == s).all() else X[real_steps(lengths, s)]
+        return cls.of_lengths(values, lengths)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -166,14 +166,17 @@ class Ragged:
         """The padded form of sequences ``rows`` (every one when None),
         ``(len(rows), steps, c)``, written into ``out`` when given.
 
-        When every sequence has ``steps`` rows the padded form is
-        :attr:`dense`, a view of ``values``: it is returned itself for all
-        rows, and gathered for some."""
-        if self.dense is not None and out is None:
-            return self.dense if rows is None else self.dense[rows]
+        When every sequence has ``steps`` rows the padded form is a view of
+        ``values``: it is returned itself for all rows and no ``out``, and
+        gathered otherwise."""
+        if self._dense is not None and rows is None and out is None:
+            return self._dense
         rows = np.arange(len(self))[slice(None) if rows is None else rows]
         if out is None:
             out = np.empty((len(rows),) + self.shape[1:], self.dtype)
+        if self._dense is not None:
+            # rows come from arange, so they are in range; "wrap" keeps np.take from buffering
+            return np.take(self._dense, rows, axis=0, out=out, mode="wrap")
         out.fill(np.nan)
         starts, stops = self.offsets[rows].tolist(), self.offsets[rows + 1].tolist()
         for j, (start, stop) in enumerate(zip(starts, stops)):
@@ -188,11 +191,13 @@ class Dataset:
     """Final pipeline product: the sequences, their targets and lengths, and
     split membership.
 
-    ``X_full`` is given as a padded ``(n, s, c)`` array or as a
-    :class:`Ragged` (the pipeline's real steps) and held as ``ragged``.
+    ``X_full`` is given as a :class:`Ragged` or as a padded ``(n, s, c)``
+    array whose steps past ``length_full`` are dropped
+    (:meth:`Ragged.of_padded`), and held as ``ragged``, its real steps.
     ``X_full``, ``X``, the ``X_train``/``X_val``/``X_test`` accessors and
-    :meth:`tensors` pad on access: each is a padded copy of its rows (a view
-    for ``X_full`` when every sequence has ``s`` steps). ``X``, ``y`` and
+    :meth:`tensors` pad on access, to the longest sequence: each is a padded
+    copy of its rows (a view for ``X_full`` when every sequence is that
+    long). ``X``, ``y`` and
     ``length`` return the split selected at build time; the
     ``_train``/``_val``/``_test`` accessors are always available
     (requesting a test split that was never created raises ``ValueError``).
@@ -213,7 +218,8 @@ class Dataset:
         name: str = "",
         dropped_records: int = 0,
     ) -> None:
-        self.ragged = X_full if isinstance(X_full, Ragged) else Ragged.of_padded(np.asarray(X_full))
+        self.ragged = (X_full if isinstance(X_full, Ragged)
+                       else Ragged.of_padded(np.asarray(X_full), length_full))
         self.y_full = y_full
         self.length_full = length_full
         self.layout = layout
@@ -301,10 +307,7 @@ def pad_to_longest(series: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray
     lengths = np.array([m.shape[0] for m in series], dtype=np.int64)
     if (lengths < 1).any():
         raise ValueError("every series needs at least one step")
-    X = np.full((len(series), int(lengths.max()), channel_counts.pop()), np.nan)
-    for i, m in enumerate(series):
-        X[i, : m.shape[0], :] = m
-    return X, lengths
+    return Ragged.of_lengths(np.concatenate(series, dtype=np.float64), lengths).pad(), lengths
 
 
 def append_time_channel(X: np.ndarray, times: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense binary tensor files, and the manifest of the directories holding them.
+"""Binary tensor files, and the manifest of the directories holding them.
 
 One array per file, parseable from any language without libraries:
 
@@ -73,8 +73,6 @@ class Rows:
     of whole."""
 
     def __init__(self, array, index=None) -> None:
-        if isinstance(array, Ragged) and array.dense is not None:
-            array = array.dense  # every sequence whole: gather the padded form
         self.array = array if isinstance(array, Ragged) else np.atleast_1d(array)
         n = len(self.array)
         if index is not None:

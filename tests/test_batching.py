@@ -175,6 +175,22 @@ def test_roundtrip_equals_sorted_batch(per_step_y):
         np.testing.assert_array_equal(restored.y, expected.y)
 
 
+def test_roundtrip_of_a_batch_wider_than_its_longest_sequence_is_cut_to_it():
+    """A (2, 5, 1) batch whose longest sequence has 3 steps comes back as
+    (2, 3, 1): the sorted batch cut to its longest step, per-step y too."""
+    X = np.full((2, 5, 1), np.nan)
+    X[0, :2, 0], X[1, :3, 0] = [1.0, 2.0], [3.0, np.nan, 5.0]
+    y = np.full((2, 5), np.nan)
+    y[0, :2], y[1, :3] = [0.0, 1.0], [1.0, 0.0, 1.0]
+    batch = Batch(X=X, y=y, length=np.array([2, 3]))
+    restored = unpack(pack(batch))
+    expected = sort_by_length(batch)
+    assert restored.X.shape == (2, 3, 1) and restored.y.shape == (2, 3)
+    np.testing.assert_array_equal(restored.X, expected.X[:, :3])
+    np.testing.assert_array_equal(restored.y, expected.y[:, :3])
+    np.testing.assert_array_equal(restored.length, [3, 2])
+
+
 def test_per_step_y_is_packed():
     rng = np.random.RandomState(23)
     batch = random_batch(rng, per_step_y=True, b=4)

@@ -8,6 +8,7 @@ from tsprep.tensor_core import (
     ChannelLayout,
     ChannelStats,
     Dataset,
+    Ragged,
     append_time_channel,
     channel_stats,
     pad_to_longest,
@@ -38,6 +39,81 @@ def test_pad_errors():
         pad_to_longest([np.ones((2, 3)), np.ones((2, 4))])
     with pytest.raises(ValueError, match="at least one step"):
         pad_to_longest([np.ones((0, 3))])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("lengths", [[2, 5, 1, 5], [3, 3]], ids=["unequal", "equal"])
+def test_pad_to_longest_is_bitwise_a_nan_fill_plus_each_series(dtype, lengths):
+    rng = np.random.RandomState(len(lengths))
+    series = [(rng.randn(L, 3) * 1e6).astype(dtype) for L in lengths]
+    want = np.full((len(series), max(lengths), 3), np.nan)
+    for i, m in enumerate(series):
+        want[i, : len(m)] = m
+    X, got_lengths = pad_to_longest(series)
+    assert X.dtype == np.float64 and X.shape == want.shape
+    assert X.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(got_lengths, lengths)
+
+
+@pytest.mark.parametrize(
+    "lengths", [[2, 5, 0, 1], [3, 3, 3], []], ids=["unequal", "equal", "no-sequences"]
+)
+def test_ragged_is_as_wide_as_its_longest_sequence(lengths):
+    values = np.arange(2.0 * sum(lengths)).reshape(-1, 2)
+    offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    ragged = Ragged(values, offsets)
+    steps = max(lengths, default=0)
+    assert ragged.steps == steps and ragged.shape == (len(lengths), steps, 2)
+    want = np.full(ragged.shape, np.nan)
+    for i, L in enumerate(lengths):
+        want[i, :L] = values[offsets[i] : offsets[i + 1]]
+    assert ragged.pad().tobytes() == want.tobytes()
+    rows = np.arange(len(lengths))[::-1]
+    assert ragged.pad(rows).tobytes() == want[rows].tobytes()
+    out = np.zeros(want[rows].shape)
+    assert ragged.pad(rows, out=out) is out and out.tobytes() == want[rows].tobytes()
+    # equal lengths: the padded form is its rows, reshaped
+    assert np.shares_memory(ragged.pad(), values) == (len(set(lengths)) == 1)
+
+
+def _dataset_of(X, lengths):
+    return Dataset(
+        X_full=X,
+        y_full=np.zeros((len(lengths), 1)),
+        length_full=np.asarray(lengths, dtype=np.int64),
+        layout=ChannelLayout((Channel("d0", "data"),)),
+        stats=channel_stats(X, np.asarray(lengths)),
+        split_of_index=np.zeros(len(lengths), dtype=np.int8),
+        split="train",
+        has_test=False,
+    )
+
+
+def test_dataset_of_a_padded_array_keeps_only_its_real_steps():
+    """A padded X_full wider than its longest sequence, with values in its
+    padding, is held as its real steps and padded back only as wide as the
+    longest sequence, NaN after each length."""
+    X = np.arange(18.0).reshape(3, 6, 1)  # no NaN padding at all
+    lengths = [2, 4, 3]
+    ds = _dataset_of(X, lengths)
+    assert ds.ragged.values.tobytes() == np.concatenate(
+        [X[i, :L] for i, L in enumerate(lengths)]
+    ).tobytes()
+    want = np.full((3, 4, 1), np.nan)
+    for i, L in enumerate(lengths):
+        want[i, :L] = X[i, :L]
+    assert ds.X_full.tobytes() == want.tobytes()
+    assert ds.X_train.tobytes() == want.tobytes()
+    # every sequence as wide as X: held as a view, padded as X itself
+    assert np.shares_memory(_dataset_of(X, [6, 6, 6]).X_full, X)
+
+
+@pytest.mark.parametrize("lengths", [[3, 4], [4, 4], [2, 3, 1], [3]])
+def test_dataset_of_a_padded_array_rejects_lengths_that_do_not_fit_it(lengths):
+    """A length past the padded width, or a length count other than the
+    sequence count, raises."""
+    with pytest.raises(ValueError, match="one length per sequence"):
+        _dataset_of(np.zeros((2, 3, 1)), lengths)
 
 
 def test_append_time_channel_and_inverse():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tsprep.tensor_core import Ragged
 from tsprep.tensorfile import (
     HEADER_SIZE,
     MAGIC,
@@ -185,3 +186,20 @@ def test_rows_write_the_gathered_rows_and_reject_bad_indices(tmp_path):
         Rows(array, np.array([0, 4]))  # np.take's "wrap" mode would wrap it to row 0
     with pytest.raises(TypeError):
         Rows(array, np.array([True, False, True, False]))
+
+
+@pytest.mark.parametrize("lengths", [[3, 3, 3, 3], [3, 1, 3, 2]], ids=["equal", "unequal"])
+@pytest.mark.parametrize("index", [None, [2, 0, 3]], ids=["all", "gathered"])
+def test_rows_of_a_ragged_write_the_bytes_of_its_padded_rows(tmp_path, lengths, index):
+    """A Ragged is padded into the writer's block buffer, whether its padded
+    form is a view of its rows (equal lengths) or not."""
+    series = [np.random.RandomState(5 + i).randn(L, 2) for i, L in enumerate(lengths)]
+    ragged = Ragged.of_lengths(np.concatenate(series), lengths)
+    padded = np.full((len(lengths), max(lengths), 2), np.nan)
+    for i, m in enumerate(series):
+        padded[i, : len(m)] = m
+    index = None if index is None else np.array(index)
+    got = write_tensor(tmp_path / "rows.bin", Rows(ragged, index), "f64")
+    want = write_tensor(tmp_path / "padded.bin", padded if index is None else padded[index], "f64")
+    assert got == want
+    assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "padded.bin").read_bytes()
