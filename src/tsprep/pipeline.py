@@ -12,7 +12,8 @@ Steps 1-7 hold the master and the assembled output as their real time steps
 only, record after record (``(sum of lengths, c)``, bounded by the lengths);
 the cache stores the master that way too. The padded ``(n, s, c)`` form is
 made only where a tensor leaves the package (:class:`Dataset` accessors,
-``batching.batches`` and the writers), one block at a time.
+``batching.batches`` and the writers), one block at a time, but for a custom
+imputation: step 7 pads each split whole for it and keeps what it returns.
 
 Steps 4, 6 and 7 run over row blocks of whole sequences, each of about
 ``tensorfile.BLOCK_BYTES`` of output: a block is copied from the master,
@@ -20,9 +21,9 @@ gets its mask and delta channels, and is standardised and imputed while it
 is still in cache, with temporaries of one block. The training statistics
 cannot wait for the blocks, so they come first, from one gather of the
 training steps' data channels (which step 4 copies unchanged from the
-master): statistics, standardisation of that gathered copy in place, then
-the fill statistics. The gather borrows the front of the output's memory,
-which no block is written to before then. Step 5 reads only the targets
+master): statistics, then, to impute standardised values, that copy
+standardised in place and the fill statistics. The gather borrows the front
+of the output's memory, which no block is written to before then. Step 5 reads only the targets
 and runs before them. Every value is computed as a whole-array pass would
 compute it, so the blocks do not change a byte.
 
@@ -358,26 +359,23 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
     X_out = np.empty((len(X), layout.n_channels))
     with _step(6, "standardise"):
         # one gather of the training steps, record after record, gives the
-        # padded statistics bitwise; standardised in place, it is what
-        # imputation sees, for the fill statistics. It is held in the front
-        # of the output's memory, which no block is written to before step 4,
-        # so it needs no allocation of its own, which the C allocator could
-        # keep on the heap, once freed, while the master and output are held
+        # padded statistics bitwise. It is held in the front of the output's
+        # memory, which no block is written to before step 4, so it needs no
+        # allocation of its own, which the C allocator could keep on the
+        # heap, once freed, while the master and output are held
         n_train = int(lengths[is_train].sum())
         train = X_out.reshape(-1)[: n_train * d].reshape(n_train, d)
         _train_steps(X, lengths, is_train, train)
         stats = channel_stats(train, lengths[is_train], categorical=cat_cols)
-        if config.standardise:
-            standardise_in_place(train, ChannelLayout(layout.channels[layout.data_slice]), stats)
 
     fill = None
     with _step(7, "impute"):
         if callable(config.impute) or config.impute != "none":
-            fill_stats = (
-                channel_stats(train, lengths[is_train], categorical=cat_cols)
-                if config.standardise
-                else stats
-            )
+            fill_stats = stats
+            if config.standardise:  # imputation sees standardised values
+                data = ChannelLayout(layout.channels[layout.data_slice])
+                standardise_in_place(train, data, stats)
+                fill_stats = channel_stats(train, lengths[is_train], categorical=cat_cols)
             fill = transforms.build_fill(
                 fill_stats,
                 config.impute,
@@ -398,20 +396,25 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
     if callable(config.impute):
         with _step(7, "impute"):
             # a custom method may look across rows, so it sees one split at a
-            # time, padded; it may write into the padding too, so each
-            # sequence keeps its steps up to the last one written (at least
-            # its length, so the longest kept is still the padded width)
+            # time, padded; it may write into the padding too, so what it
+            # returns is kept whole: every sequence at the padded width
             y = y.astype(np.float64, copy=True)
-            kept = [None] * len(lengths)
+            imputed = []
             for code in np.unique(split_of_index):
                 rows = np.flatnonzero(split_of_index == code)
                 X_rows, y[rows] = transforms.impute(
                     ragged.pad(rows), y[rows], lengths[rows], layout.data_indices,
                     config.impute, fill,
                 )
-                for i, X_i, k in zip(rows, X_rows, _written_steps(X_rows, lengths[rows])):
-                    kept[i] = X_i[:k]
-            ragged = Ragged.of_lengths(np.concatenate(kept), [len(k) for k in kept])
+                imputed.append((rows, X_rows))
+            # allocated only now, with the real-step output released, and
+            # each split released as soon as it is copied in
+            shape = ragged.shape
+            del ragged, X_out, X_rows
+            X_pad = np.empty(shape)
+            while imputed:
+                rows, X_pad[rows] = imputed.pop()
+            ragged = Ragged.of_padded(X_pad, np.full(len(lengths), shape[1]))
 
     with _step(8, "bind split views"):
         dataset = Dataset(
@@ -428,15 +431,6 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
         )
         dataset.split_rows(config.split)  # fail fast on an invalid selection
     return dataset
-
-
-def _written_steps(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Steps of each padded sequence up to the last one holding anything but
-    NaN padding bits, and at least its length."""
-    padding = np.full(1, np.nan).view(np.uint64)[0]
-    written = (np.ascontiguousarray(X).view(np.uint64) != padding).any(axis=2)
-    last = X.shape[1] - np.argmax(written[:, ::-1], axis=1)
-    return np.maximum(lengths, np.where(written.any(axis=1), last, 0))
 
 
 def _row_blocks(lengths: np.ndarray, row_bytes: int):

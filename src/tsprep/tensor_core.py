@@ -1,12 +1,12 @@
 """Ragged and padded data models, channel layout, training statistics and
 standardisation.
 
-A dataset's sequences live in one :class:`Ragged`: the real time steps of
-every sequence, record after record, as one float64 array of rows ``(sum of
-lengths, c)`` with per-sequence bounds, and nothing else but a custom
-imputation's writes past a length. NaN in it means a missing observation.
-Steps 1-7 of the pipeline and the transforms work on these rows only, so
-their cost follows the real steps, not the padded size.
+A dataset's sequences live in one :class:`Ragged`, a float64 array of rows
+with per-sequence bounds: the real steps, record after record (``(sum of
+lengths, c)``), or every padded step (``(n * s, c)``: a custom imputation's
+output, which may write into the padding). NaN in it means a missing
+observation. Steps 1-7 of the pipeline and the transforms work on real
+steps only, so their cost follows the real steps, not the padded size.
 
 The padded convention, an ``(n, s, c)`` array whose entry ``[i, t, :]`` is NaN
 for every ``t >= length[i]``, exists only where a tensor enters or leaves
@@ -111,11 +111,9 @@ def real_steps(lengths: np.ndarray, steps: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Ragged:
     """Sequences of unequal length as one array of rows: sequence ``i`` is
-    ``values[offsets[i]:offsets[i + 1]]``, its real steps (the flat values
-    plus bounds of Arrow's ``ListArray``); a custom imputation's writes past
-    a sequence's length are the one exception, kept as more rows. Its padded
-    form is ``(n, steps, c)``, NaN after each sequence's rows, ``steps``
-    being the longest sequence's row count.
+    ``values[offsets[i]:offsets[i + 1]]`` (the flat values plus bounds of
+    Arrow's ``ListArray``). Its padded form is ``(n, steps, c)``, NaN after
+    each sequence's rows, ``steps`` being the longest sequence's row count.
     """
 
     values: np.ndarray
@@ -131,6 +129,8 @@ class Ragged:
         object.__setattr__(self, "steps", int(counts.max(initial=0)))
         dense = (counts == self.steps).all()
         object.__setattr__(self, "_dense", self.values.reshape(self.shape) if dense else None)
+        # indexed by the rows asked for, it checks them at their own cost
+        object.__setattr__(self, "_positions", np.arange(len(counts)))
 
     @classmethod
     def of_lengths(cls, values: np.ndarray, lengths) -> "Ragged":
@@ -171,11 +171,11 @@ class Ragged:
         gathered otherwise."""
         if self._dense is not None and rows is None and out is None:
             return self._dense
-        rows = np.arange(len(self))[slice(None) if rows is None else rows]
+        rows = self._positions[slice(None) if rows is None else rows]
         if out is None:
             out = np.empty((len(rows),) + self.shape[1:], self.dtype)
         if self._dense is not None:
-            # rows come from arange, so they are in range; "wrap" keeps np.take from buffering
+            # rows are _positions, so in range; "wrap" keeps np.take from buffering
             return np.take(self._dense, rows, axis=0, out=out, mode="wrap")
         out.fill(np.nan)
         starts, stops = self.offsets[rows].tolist(), self.offsets[rows + 1].tolist()
@@ -193,7 +193,8 @@ class Dataset:
 
     ``X_full`` is given as a :class:`Ragged` or as a padded ``(n, s, c)``
     array whose steps past ``length_full`` are dropped
-    (:meth:`Ragged.of_padded`), and held as ``ragged``, its real steps.
+    (:meth:`Ragged.of_padded`), and held as ``ragged``: the real steps, or
+    (after a custom imputation) every sequence ``s`` rows long, never a mix.
     ``X_full``, ``X``, the ``X_train``/``X_val``/``X_test`` accessors and
     :meth:`tensors` pad on access, to the longest sequence: each is a padded
     copy of its rows (a view for ``X_full`` when every sequence is that
@@ -334,8 +335,8 @@ def channel_stats(
     Each channel's observations are read in row order, so the real steps of
     the training rows, record after record, give the statistics of their
     padded form bitwise: padding contributes nothing because padded entries
-    are NaN. A channel with zero observations gets NaN statistics and count
-    0 (callers treat it as unavailable).
+    are NaN, so ``lengths`` is not read. A channel with zero observations
+    gets NaN statistics and count 0 (callers treat it as unavailable).
     """
     d = X_train.shape[-1]
     categorical = set(categorical)

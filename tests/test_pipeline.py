@@ -466,6 +466,62 @@ def test_padding_invariant_preserved_end_to_end(traj_root):
     assert first.X.shape == (8, s, ds.X_full.shape[2])
 
 
+def fill_padding_of_every_other_sequence(X, y, fill, select):
+    """Custom imputation that writes -1 into the padding (where the time
+    stamp is NaN) of every other sequence of its split and nothing else."""
+    padding = np.isnan(X[:, :, 0])
+    padding[1::2] = False
+    X[padding] = -1.0
+    return X, y
+
+
+def fill_real_gaps_with_fill(X, y, fill, select):
+    """Custom imputation that fills the data gaps of the real steps (where
+    the time stamp is recorded) from ``fill``, as the built-in mean does,
+    and leaves the padding alone."""
+    block = X[:, :, select]
+    gaps = np.isnan(block) & ~np.isnan(X[:, :, :1])
+    X[:, :, select] = np.where(gaps, fill, block)
+    return X, y
+
+
+def test_custom_imputation_writing_some_padding_keeps_every_sequence_padded(traj_root):
+    """A custom imputation's padded splits are kept whole: every sequence of
+    ``ragged`` is the padded width, whether or not the callable wrote into
+    its padding, and ``X_full`` is a view of it."""
+    config = traj_config(traj_root, missing=0.3, mask=True, val_prop=0.2)
+    ds = build(dataclasses.replace(config, impute=fill_padding_of_every_other_sequence))
+    plain = build(config).X_full
+    X, s = ds.X_full, ds.X_full.shape[1]
+    assert (np.diff(ds.ragged.offsets) == s).all()
+    assert np.shares_memory(X, ds.ragged.values)
+    written = 0
+    for split in ds.splits:
+        for j, i in enumerate(ds.split_rows(split)):
+            L = int(ds.length_full[i])
+            np.testing.assert_array_equal(X[i, :L], plain[i, :L])
+            assert (X[i, L:] == -1.0).all() if j % 2 == 0 else np.isnan(X[i, L:]).all()
+            written += (j % 2 == 0) * (s - L)
+    assert written > 0 and (ds.length_full < s).sum() > len(ds.splits)
+
+
+def test_custom_imputation_leaving_the_padding_gives_the_builtin_bytes(traj_root):
+    """A callable that fills only the real steps' gaps, as mean imputation
+    does, gives the bytes of the built-in method, its padding still NaN, and
+    every sequence held at the padded width."""
+    config = traj_config(traj_root, missing=0.3, mask=True, delta=True, standardise=True,
+                         val_prop=0.2)
+    custom = build(dataclasses.replace(config, impute=fill_real_gaps_with_fill))
+    builtin = build(dataclasses.replace(config, impute="mean"))
+    s = custom.X_full.shape[1]
+    assert (np.diff(custom.ragged.offsets) == s).all()
+    assert (custom.length_full < s).any()
+    assert custom.X_full.tobytes() == builtin.X_full.tobytes()
+    assert custom.y_full.tobytes() == builtin.y_full.tobytes()
+    for i, L in enumerate(custom.length_full):
+        assert np.isnan(custom.X_full[i, int(L):]).all()
+
+
 def test_arrowhead_first_batch_shape(arrowhead_root):
     from tsprep.batching import batches
 

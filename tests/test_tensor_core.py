@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,34 @@ def _dataset_of(X, lengths):
         split="train",
         has_test=False,
     )
+
+
+@pytest.mark.parametrize("steps", [[1], [1, 2]], ids=["dense", "ragged"])
+def test_pad_of_a_few_sequences_allocates_for_those_alone(steps):
+    """``pad`` pays for the rows asked for, not for every sequence, so a
+    writer calling it once per row block does not pay the whole count per
+    block."""
+    n = 100_000
+    lengths = np.resize(steps, n)
+    ragged = Ragged.of_lengths(np.zeros((int(lengths.sum()), 1)), lengths)
+    tracemalloc.start()
+    try:
+        out = ragged.pad(slice(0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, max(steps), 1)
+    assert peak < n * 8 / 10
+
+
+def test_pad_resolves_and_checks_rows_as_an_index_of_positions():
+    ragged = Ragged.of_lengths(np.arange(6.0)[:, None], [1, 2, 3])
+    np.testing.assert_array_equal(ragged.pad([-1])[0, :, 0], [3.0, 4.0, 5.0])
+    np.testing.assert_array_equal(ragged.pad(slice(-2, None))[:, 0, 0], [1.0, 3.0])
+    np.testing.assert_array_equal(ragged.pad(np.array([False, True, False]))[0, :2, 0], [1, 2])
+    for rows in ([3], [-4], np.array([True, False])):
+        with pytest.raises(IndexError):
+            ragged.pad(rows)
 
 
 def test_dataset_of_a_padded_array_keeps_only_its_real_steps():
