@@ -329,11 +329,11 @@ _CHUNKS_PER_WORKER = 4
 
 
 def _parse_2012_file(path: Path) -> PatientRecord:
-    return parse_patient_2012(path.read_text())
+    return parse_patient_2012(path.read_text(encoding="utf-8"))
 
 
 def _parse_2019_file(path: Path) -> PatientRecord:
-    return parse_patient_2019(path.read_text(), record_id=path.stem)
+    return parse_patient_2019(path.read_text(encoding="utf-8"), record_id=path.stem)
 
 
 def _read_parallel(paths: list[Path], parse_file, workers: int) -> list[PatientRecord]:
@@ -386,7 +386,7 @@ def load_outcomes_2012(directory: Path) -> dict[str, int]:
         raise FileNotFoundError(f"no Outcomes-*.txt under {directory}")
     outcomes: dict[str, int] = {}
     for path in paths:
-        part = parse_outcomes_2012(path.read_text())
+        part = parse_outcomes_2012(path.read_text(encoding="utf-8"))
         dupes = outcomes.keys() & part.keys()
         if dupes:
             raise RecordParseError(f"duplicate record ids across outcome files: {sorted(dupes)}")

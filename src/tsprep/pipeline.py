@@ -41,6 +41,7 @@ channels are 1..d (e.g. 20 is MechVent for PhysioNet 2012).
 """
 
 import logging
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -100,6 +101,12 @@ def _channel_indices(value) -> tuple[int, ...]:
     return tuple(map(int, value))
 
 
+def _seed(value) -> Optional[int]:
+    if isinstance(value, bool):  # a manifest's seed is an integer or null, and true is neither
+        raise TypeError(value)
+    return None if value is None else operator.index(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Complete argument surface of the pipeline.
@@ -108,6 +115,14 @@ class PipelineConfig:
     "physionet2012", "physionet2019", "physionet2019binary". Defaults match
     the documented argument table: no simulated missingness, no imputation,
     time stamp on, mask/delta/standardise off, cache under ``path``.
+
+    Each field with more than one accepted form is converted once, here:
+    proportions to ``float`` (``val_prop`` may stay ``None``), ``seed``
+    through ``operator.index`` (numpy integers pass, a bool does not),
+    ``missing`` to a float or a tuple of floats, ``path`` to ``str``. So
+    numpy scalars are accepted, and the manifest's config echo can always
+    be written; a value that does not convert raises :class:`ConfigError`
+    naming its field.
     """
 
     dataset: str
@@ -130,6 +145,9 @@ class PipelineConfig:
         # the one conversion of each field that has more than one accepted
         # form, so the manifest's config echo rebuilds an equal config
         for name, convert in (
+            ("train_prop", float),
+            ("val_prop", lambda v: None if v is None else float(v)),
+            ("seed", _seed),
             ("missing", lambda v: float(v) if np.ndim(v) == 0 else tuple(map(float, v))),
             ("categorical", _channel_indices),
             ("channel_means", lambda v: {int(k): float(x) for k, x in dict(v).items()}),
@@ -171,8 +189,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"impute must be one of {transforms.IMPUTE_METHODS} or a callable"
             )
-        if self.seed is not None and type(self.seed) is not int:  # a bool is no seed
-            raise ConfigError("seed must be an integer")
 
 
 @contextmanager
@@ -188,12 +204,17 @@ def _step(number: int, name: str):
 
 
 def _ingest_uea(raw: Path, dataset: str):
-    train_path = _find_ts(raw, dataset, "TRAIN")
-    test_path = _find_ts(raw, dataset, "TEST", required=False)
-    train = parse_ts_file(train_path.read_text())
+    paths = {}
+    for path in sorted(raw.rglob("*.ts")):  # one walk: the first path of each lower-case stem
+        paths.setdefault(path.stem.lower(), path)
+    train_path = paths.get(f"{dataset.lower()}_train")
+    if train_path is None:
+        raise FileNotFoundError(f"no {dataset}_TRAIN.ts under {raw} (run `tsprep fetch` first)")
+    train = parse_ts_file(train_path.read_text(encoding="utf-8"))
     test = None
+    test_path = paths.get(f"{dataset.lower()}_test")
     if test_path is not None:
-        test = parse_ts_file(test_path.read_text())
+        test = parse_ts_file(test_path.read_text(encoding="utf-8"))
         if set(test.header.class_labels) != set(train.header.class_labels):
             raise ValueError("train/test files declare different class labels")
     labels, X, lengths = merge_train_test(train, test)
@@ -207,18 +228,6 @@ def _ingest_uea(raw: Path, dataset: str):
         "dropped_records": 0,
     }
     return X, y, lengths, info
-
-
-def _find_ts(raw: Path, dataset: str, part: str, required: bool = True) -> Optional[Path]:
-    wanted = f"{dataset.lower()}_{part.lower()}"
-    candidates = [p for p in sorted(raw.rglob("*.ts")) if p.stem.lower() == wanted]
-    if not candidates:
-        if required:
-            raise FileNotFoundError(
-                f"no {dataset}_{part}.ts under {raw} (run `tsprep fetch` first)"
-            )
-        return None
-    return candidates[0]
 
 
 def _physionet_master(raw: Path, records: list, dropped: int, time_channel: str):
@@ -398,7 +407,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
             # a custom method may look across rows, so it sees one split at a
             # time, padded; it may write into the padding too, so what it
             # returns is kept whole: every sequence at the padded width
-            y = y.astype(np.float64, copy=True)
+            # (y is written in place: every source gives float64 y, held by this build alone)
             imputed = []
             for code in np.unique(split_of_index):
                 rows = np.flatnonzero(split_of_index == code)
@@ -416,21 +425,19 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
                 rows, X_pad[rows] = imputed.pop()
             ragged = Ragged.of_padded(X_pad, np.full(len(lengths), shape[1]))
 
-    with _step(8, "bind split views"):
-        dataset = Dataset(
-            X_full=ragged,
-            y_full=y,
-            length_full=lengths.astype(np.int64),
-            layout=layout,
-            stats=stats,
-            split_of_index=split_of_index,
-            split=config.split,
-            has_test=config.val_prop is not None,
-            name=config.dataset,
-            dropped_records=info["dropped_records"],
-        )
-        dataset.split_rows(config.split)  # fail fast on an invalid selection
-    return dataset
+    # step 8: validate() admits only a split that was configured
+    return Dataset(
+        X_full=ragged,
+        y_full=y,
+        length_full=lengths,
+        layout=layout,
+        stats=stats,
+        split_of_index=split_of_index,
+        split=config.split,
+        has_test=config.val_prop is not None,
+        name=config.dataset,
+        dropped_records=info["dropped_records"],
+    )
 
 
 def _row_blocks(lengths: np.ndarray, row_bytes: int):

@@ -26,6 +26,7 @@ its input untouched.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ class ChannelLayout:
     def data_indices(self) -> np.ndarray:
         return self.indices(DATA)
 
-    @property
+    @cached_property  # the layout is frozen and a slice immutable
     def data_slice(self) -> slice:
         """The data channels as a slice: blocks are ordered, so they are
         contiguous and ``X[..., data_slice]`` is a view."""

@@ -392,6 +392,7 @@ ECHOED_CONFIGS = {
     "missing_array": dict(missing=np.array([0.25, 0.5])),
     "categorical_and_channel_means": dict(categorical=[2, 10], channel_means={2: 1.5, 10: 4}),
     "path_object": dict(path=Path("data")),
+    "numpy_scalars": dict(train_prop=np.float32(0.4), val_prop=np.float32(0.3), seed=np.int64(1)),
 }
 
 

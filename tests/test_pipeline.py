@@ -16,6 +16,8 @@ from tsprep.pipeline import ConfigError, BuildError, PipelineConfig, build
 from tsprep.tensor_core import DATA, DELTA, MASK, TIME, Dataset, Ragged
 from tsprep.tensorfile import HEADER_SIZE
 
+from conftest import make_uea_ts
+
 
 def arrowhead_config(root, **kwargs):
     defaults = dict(
@@ -336,7 +338,7 @@ def test_bad_proportions_rejected(arrowhead_root):
     [("missing", "x"), ("missing", ["0.1", None]), ("categorical", ["a"]),
      ("categorical", 3), ("categorical", "12"), ("channel_means", {"x": 1}),
      ("channel_means", {1: "y"}),
-     ("path", None)],
+     ("path", None), ("train_prop", "x"), ("val_prop", "x"), ("seed", True), ("seed", 1.5)],
 )
 def test_unconvertible_config_value_names_its_field(arrowhead_root, field, value):
     with pytest.raises(ConfigError, match=f"^{field}: cannot convert"):
@@ -345,8 +347,14 @@ def test_unconvertible_config_value_names_its_field(arrowhead_root, field, value
 
 def test_config_values_are_converted_once(arrowhead_root):
     config = arrowhead_config(
-        arrowhead_root, missing=np.array([0.5]), categorical=["1"], channel_means={"1": "2"}
+        arrowhead_root, missing=np.array([0.5]), categorical=["1"], channel_means={"1": "2"},
+        train_prop=np.float32(0.5), val_prop=np.float64(0.25), seed=np.int64(3),
     )
+    assert config.train_prop == 0.5 and type(config.train_prop) is float
+    assert config.val_prop == 0.25 and type(config.val_prop) is float
+    assert config.seed == 3 and type(config.seed) is int
+    unset = arrowhead_config(arrowhead_root, val_prop=None, seed=None)
+    assert unset.val_prop is None and unset.seed is None
     assert config.missing == (0.5,) and type(config.missing[0]) is float
     assert config.categorical == (1,)
     assert config.channel_means == {1: 2.0}
@@ -364,6 +372,33 @@ def test_bool_seed_rejected(arrowhead_root):
 def test_missing_raw_sources_is_build_error(tmp_path):
     with pytest.raises(BuildError, match="step 1"):
         build(arrowhead_config(tmp_path))
+
+
+def test_uea_files_are_found_by_name_anywhere_under_the_raw_tree(arrowhead_root, tmp_path):
+    """TRAIN and TEST are matched by lower-case stem in any subdirectory; of
+    two files with one name the first in sorted path order is read, and
+    another problem's files beside them are not."""
+    source = arrowhead_root / ".torchtime" / "raw" / "arrowhead"
+    raw = tmp_path / ".torchtime" / "raw" / "arrowhead"
+    (raw / "a").mkdir(parents=True)
+    (raw / "b").mkdir()
+    shutil.copy(source / "ArrowHead_TRAIN.ts", raw / "a" / "ArrowHead_TRAIN.ts")
+    shutil.copy(source / "ArrowHead_TEST.ts", raw / "b" / "arrowhead_test.ts")
+    for name, seed in (("BasicMotions_TRAIN", 1), ("BasicMotions_TEST", 2)):
+        make_uea_ts(raw / "a" / f"{name}.ts", "BasicMotions", {"x": 3, "y": 3}, 20, 2, seed)
+    # sorts after a/ArrowHead_TRAIN.ts: a different problem under the same name
+    make_uea_ts(raw / "z" / "ArrowHead_TRAIN.ts", "ArrowHead", {"p": 4, "q": 4}, 30, 1, 3)
+
+    ds = build(arrowhead_config(tmp_path))
+    expected = build(arrowhead_config(arrowhead_root))
+    np.testing.assert_array_equal(ds.X_full, expected.X_full)
+    np.testing.assert_array_equal(ds.y_full, expected.y_full)
+
+    for path in (raw / "a" / "ArrowHead_TRAIN.ts", raw / "z" / "ArrowHead_TRAIN.ts"):
+        path.unlink()
+    with pytest.raises(BuildError) as info:
+        build(arrowhead_config(tmp_path, overwrite_cache=True))
+    assert "ArrowHead_TRAIN.ts" in str(info.value) and "tsprep fetch" in str(info.value)
 
 
 def _empty_record_tree(root, kind):
