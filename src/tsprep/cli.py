@@ -20,7 +20,7 @@ from pathlib import Path
 import tsprep
 from tsprep import cache_store, export, fetch, transforms
 from tsprep.pipeline import BuildError, ConfigError, PipelineConfig, build
-from tsprep.tensorfile import ManifestError, TensorFileError, verify_dir
+from tsprep.tensorfile import ManifestError, TensorFile, TensorFileError, verify_dir
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -124,7 +124,15 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    manifest_path = export.export_prepared(args.entry, args.out, dtype=args.dtype)
+    source = Path(args.entry)
+    export.check_replaceable(Path(args.out))  # fail before the source is read
+    # headers first, so that a malformed header is reported as such; then
+    # the digests, so that a corrupt source is never published
+    for name, entry in export.read_manifest(source)["files"].items():
+        TensorFile(source / name, entry)
+    if _report_corrupt(source):
+        return EXIT_RUNTIME
+    manifest_path = export.export_prepared(source, args.out, dtype=args.dtype)
     print(f"exported to {Path(args.out)} ({args.dtype}); manifest: {manifest_path}")
     return EXIT_OK
 

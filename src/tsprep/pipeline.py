@@ -107,6 +107,12 @@ def _seed(value) -> Optional[int]:
     return None if value is None else operator.index(value)
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):  # "no" is truthy, and 1 or None is no flag
+        raise TypeError(value)
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Complete argument surface of the pipeline.
@@ -119,10 +125,14 @@ class PipelineConfig:
     Each field with more than one accepted form is converted once, here:
     proportions to ``float`` (``val_prop`` may stay ``None``), ``seed``
     through ``operator.index`` (numpy integers pass, a bool does not),
-    ``missing`` to a float or a tuple of floats, ``path`` to ``str``. So
+    ``missing`` to a float or a tuple of floats, ``path`` to ``str``, and
+    the flags (``time``, ``mask``, ``delta``, ``standardise``,
+    ``overwrite_cache``) from ``bool`` or ``np.bool_`` to ``bool``. So
     numpy scalars are accepted, and the manifest's config echo can always
     be written; a value that does not convert raises :class:`ConfigError`
-    naming its field.
+    naming its field. The converted values are then checked however the
+    config is made, ``dataclasses.replace`` included, so an invalid config
+    never exists.
     """
 
     dataset: str
@@ -152,29 +162,18 @@ class PipelineConfig:
             ("categorical", _channel_indices),
             ("channel_means", lambda v: {int(k): float(x) for k, x in dict(v).items()}),
             ("path", os.fspath),
+            *((flag, _flag)
+              for flag in ("time", "mask", "delta", "standardise", "overwrite_cache")),
         ):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, convert(value))
             except (TypeError, ValueError):
                 raise ConfigError(f"{name}: cannot convert {value!r}") from None
-
-    @property
-    def kind(self) -> str:
-        return UEA if self.dataset.lower() not in _RESERVED else self.dataset.lower()
-
-    @property
-    def key(self) -> str:
-        """Cache directory name for the master set."""
-        return f"uea_{self.dataset.lower()}" if self.kind == UEA else self.kind
-
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec(train_prop=self.train_prop, val_prop=self.val_prop, seed=self.seed)
-
-    def validate(self) -> None:
+        # then the one check of the converted values: every config is valid
         try:
             fetch.source(self.dataset)
-            self.split_spec().validate()
+            self.split_spec()
         except (KeyError, ValueError) as err:
             raise ConfigError(err.args[0]) from None
         allowed = ("train", "val", "test") if self.val_prop is not None else ("train", "val")
@@ -189,6 +188,18 @@ class PipelineConfig:
             raise ConfigError(
                 f"impute must be one of {transforms.IMPUTE_METHODS} or a callable"
             )
+
+    @property
+    def kind(self) -> str:
+        return UEA if self.dataset.lower() not in _RESERVED else self.dataset.lower()
+
+    @property
+    def key(self) -> str:
+        """Cache directory name for the master set."""
+        return f"uea_{self.dataset.lower()}" if self.kind == UEA else self.kind
+
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(train_prop=self.train_prop, val_prop=self.val_prop, seed=self.seed)
 
 
 @contextmanager
@@ -240,8 +251,6 @@ def _physionet_master(raw: Path, records: list, dropped: int, time_channel: str)
         if r.channel_names != names:
             raise ValueError(f"record {r.record_id} has a different channel set")
     lengths = np.array([len(r.times) for r in records], dtype=np.int64)
-    if (lengths < 1).any():
-        raise ValueError("every series needs at least one step")
     X = np.empty((int(lengths.sum()), 1 + len(names)))
     stops = np.cumsum(lengths)
     for r, start, stop in zip(records, (stops - lengths).tolist(), stops.tolist()):
@@ -332,7 +341,6 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
     record files on a cache miss (``workers=1`` parses in this process);
     results are byte-identical for any worker count.
     """
-    config.validate()
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     root = Path(config.path)
@@ -425,7 +433,7 @@ def build(config: PipelineConfig, workers: int = 1) -> Dataset:
                 rows, X_pad[rows] = imputed.pop()
             ragged = Ragged.of_padded(X_pad, np.full(len(lengths), shape[1]))
 
-    # step 8: validate() admits only a split that was configured
+    # step 8: a config admits only a split that it configures
     return Dataset(
         X_full=ragged,
         y_full=y,

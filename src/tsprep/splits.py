@@ -212,14 +212,14 @@ class SplitSpec:
 
     Without ``val_prop`` the remainder after training is the validation set.
     With ``val_prop`` the remainder after training + validation is the test
-    set.
+    set. An invalid spec raises ``ValueError`` when it is made.
     """
 
     train_prop: float
     val_prop: Optional[float] = None
     seed: Optional[int] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.val_prop is None:
             if not 0.0 < self.train_prop < 1.0:
                 raise ValueError("train_prop must be in (0, 1)")
@@ -281,7 +281,6 @@ def stratified_split(labels: Sequence, spec: SplitSpec) -> SplitAssignment:
     Strata are processed in sorted label order, one shuffle per stratum, so
     the stream consumption is deterministic.
     """
-    spec.validate()
     labels = np.asarray(labels)
     n = len(labels)
     if n == 0:

@@ -120,7 +120,6 @@ def test_export_default_f32_rounds(prepared_arrowhead, tmp_path):
     assert lengths.dtype == np.int64
 
 
-@pytest.mark.xfail(strict=True, reason="export does not check the digests of its source blobs")
 def test_export_of_a_corrupt_prepared_directory_exits_1_and_publishes_nothing(
     prepared_arrowhead, tmp_path, capsys
 ):
@@ -132,6 +131,7 @@ def test_export_of_a_corrupt_prepared_directory_exits_1_and_publishes_nothing(
     blob.write_bytes(bytes(data))
     out = tmp_path / "export"
     assert run(["export", blob.parent, "--out", out]) == 1
+    assert f"corrupt: {blob}" in capsys.readouterr().err
     assert not out.exists()
 
 

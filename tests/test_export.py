@@ -393,6 +393,7 @@ ECHOED_CONFIGS = {
     "categorical_and_channel_means": dict(categorical=[2, 10], channel_means={2: 1.5, 10: 4}),
     "path_object": dict(path=Path("data")),
     "numpy_scalars": dict(train_prop=np.float32(0.4), val_prop=np.float32(0.3), seed=np.int64(1)),
+    "numpy_bools": dict(mask=np.bool_(True), overwrite_cache=np.bool_(False)),
 }
 
 

@@ -308,13 +308,16 @@ def test_2019_mask_covers_iculos(physionet2019_root):
 
 
 def test_missing_rejected_for_physionet(physionet2012_root):
+    """Checked when the config is made, by hand or by ``dataclasses.replace``."""
     with pytest.raises(ConfigError, match="UEA"):
-        build(pn2012_config(physionet2012_root, missing=0.5))
+        pn2012_config(physionet2012_root, missing=0.5)
+    with pytest.raises(ConfigError, match="UEA"):
+        dataclasses.replace(pn2012_config(physionet2012_root), missing=0.5)
 
 
 def test_test_split_requires_val_prop(arrowhead_root):
     with pytest.raises(ConfigError, match="split"):
-        build(arrowhead_config(arrowhead_root, split="test", val_prop=None))
+        arrowhead_config(arrowhead_root, split="test", val_prop=None)
 
 
 def test_bad_channel_index_rejected(arrowhead_root):
@@ -326,11 +329,11 @@ def test_bad_channel_index_rejected(arrowhead_root):
 
 def test_bad_proportions_rejected(arrowhead_root):
     with pytest.raises(ConfigError):
-        build(arrowhead_config(arrowhead_root, train_prop=0.0))
+        arrowhead_config(arrowhead_root, train_prop=0.0)
     with pytest.raises(ConfigError):
-        build(arrowhead_config(arrowhead_root, train_prop=0.8, val_prop=0.3))
+        arrowhead_config(arrowhead_root, train_prop=0.8, val_prop=0.3)
     with pytest.raises(ConfigError, match="impute"):
-        build(arrowhead_config(arrowhead_root, impute="median"))
+        arrowhead_config(arrowhead_root, impute="median")
 
 
 @pytest.mark.parametrize(
@@ -338,7 +341,8 @@ def test_bad_proportions_rejected(arrowhead_root):
     [("missing", "x"), ("missing", ["0.1", None]), ("categorical", ["a"]),
      ("categorical", 3), ("categorical", "12"), ("channel_means", {"x": 1}),
      ("channel_means", {1: "y"}),
-     ("path", None), ("train_prop", "x"), ("val_prop", "x"), ("seed", True), ("seed", 1.5)],
+     ("path", None), ("train_prop", "x"), ("val_prop", "x"), ("seed", True), ("seed", 1.5),
+     ("mask", "no"), ("time", 1), ("standardise", None)],
 )
 def test_unconvertible_config_value_names_its_field(arrowhead_root, field, value):
     with pytest.raises(ConfigError, match=f"^{field}: cannot convert"):
@@ -349,10 +353,12 @@ def test_config_values_are_converted_once(arrowhead_root):
     config = arrowhead_config(
         arrowhead_root, missing=np.array([0.5]), categorical=["1"], channel_means={"1": "2"},
         train_prop=np.float32(0.5), val_prop=np.float64(0.25), seed=np.int64(3),
+        mask=np.bool_(True),
     )
     assert config.train_prop == 0.5 and type(config.train_prop) is float
     assert config.val_prop == 0.25 and type(config.val_prop) is float
     assert config.seed == 3 and type(config.seed) is int
+    assert config.mask is True and config.delta is False
     unset = arrowhead_config(arrowhead_root, val_prop=None, seed=None)
     assert unset.val_prop is None and unset.seed is None
     assert config.missing == (0.5,) and type(config.missing[0]) is float

@@ -266,11 +266,12 @@ def test_split_of_index_codes():
 
 @pytest.mark.parametrize(
     "train_prop,val_prop",
-    [(0.0, None), (1.0, None), (1.2, None), (0.5, 0.5), (0.5, 0.0), (-0.1, 0.2)],
+    [(0.0, None), (1.0, None), (1.2, None), (0.5, 0.5), (0.5, 0.0), (-0.1, 0.2), (0.8, 0.3)],
 )
 def test_invalid_specs_rejected(train_prop, val_prop):
+    """A spec is checked when it is made, before any split."""
     with pytest.raises(ValueError):
-        stratified_split(np.zeros(10), SplitSpec(train_prop, val_prop, seed=0))
+        SplitSpec(train_prop, val_prop, seed=0)
 
 
 def test_empty_labels_rejected():
