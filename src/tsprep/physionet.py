@@ -12,6 +12,7 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -304,9 +305,9 @@ def _rows_2019(
 
 
 def to_binary_2019(record: PatientRecord) -> tuple[PatientRecord, int]:
-    """Binary sepsis variant: keep the first 72 ICULOS hours; the label is 1
-    iff any row of the full stay is septic (onset after the cutoff still
-    labels 1)."""
+    """Binary sepsis variant of one record, the reference for the build's cut
+    of the 2019 master: keep the first 72 ICULOS hours; the label is 1 iff any
+    row of the full stay is septic (onset after the cutoff still labels 1)."""
     if record.step_labels is None:
         raise ValueError("record has no per-step sepsis labels")
     keep = record.times <= 72.0
@@ -328,12 +329,23 @@ def to_binary_2019(record: PatientRecord) -> tuple[PatientRecord, int]:
 _CHUNKS_PER_WORKER = 4
 
 
+@contextmanager
+def _naming(name: str):
+    """Name the file (its path under the raw directory) in its parse error."""
+    try:
+        yield
+    except (ValueError, OverflowError, csv.Error) as err:
+        raise RecordParseError(f"{name}: {err}") from err
+
+
 def _parse_2012_file(path: Path) -> PatientRecord:
-    return parse_patient_2012(path.read_text(encoding="utf-8"))
+    with _naming(f"{path.parent.name}/{path.name}"):
+        return parse_patient_2012(path.read_text(encoding="utf-8"))
 
 
 def _parse_2019_file(path: Path) -> PatientRecord:
-    return parse_patient_2019(path.read_text(encoding="utf-8"), record_id=path.stem)
+    with _naming(f"{path.parent.name}/{path.name}"):
+        return parse_patient_2019(path.read_text(encoding="utf-8"), record_id=path.stem)
 
 
 def _read_parallel(paths: list[Path], parse_file, workers: int) -> list[PatientRecord]:
@@ -386,7 +398,8 @@ def load_outcomes_2012(directory: Path) -> dict[str, int]:
         raise FileNotFoundError(f"no Outcomes-*.txt under {directory}")
     outcomes: dict[str, int] = {}
     for path in paths:
-        part = parse_outcomes_2012(path.read_text(encoding="utf-8"))
+        with _naming(path.name):
+            part = parse_outcomes_2012(path.read_text(encoding="utf-8"))
         dupes = outcomes.keys() & part.keys()
         if dupes:
             raise RecordParseError(f"duplicate record ids across outcome files: {sorted(dupes)}")
@@ -394,28 +407,8 @@ def load_outcomes_2012(directory: Path) -> dict[str, int]:
     return outcomes
 
 
-def load_records_2019(
-    directory: Path, workers: int = 1, binary: bool = False
-) -> tuple[list[PatientRecord], np.ndarray, int]:
+def load_records_2019(directory: Path, workers: int = 1) -> tuple[list[PatientRecord], int]:
     """Every ``training_set*/*.psv`` record under ``directory``, sorted by
-    record id (see :func:`_load_records`).
-
-    Returns ``(records, labels, dropped)``. For the binary variant, records
-    are truncated to 72 ICULOS hours, ``labels`` are the per-stay binary
-    outcomes and patients with no rows inside the window are dropped (and
-    counted); otherwise ``labels`` is empty and per-step labels stay on the
-    records.
-    """
-    records, dropped = _load_records(
-        directory, "training_set*/*.psv", _parse_2019_file, workers, str
-    )
-    if not binary:
-        return records, np.empty(0, dtype=np.int64), dropped
-
-    pairs = []
-    for record in records:
-        try:
-            pairs.append(to_binary_2019(record))
-        except RecordParseError:
-            dropped += 1
-    return [r for r, _ in pairs], np.array([label for _, label in pairs], dtype=np.int64), dropped
+    record id, and the count of those dropped for having no rows (see
+    :func:`_load_records`); ``pipeline._cut_72h`` makes the binary variant."""
+    return _load_records(directory, "training_set*/*.psv", _parse_2019_file, workers, str)

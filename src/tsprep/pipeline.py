@@ -44,7 +44,7 @@ import logging
 import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -118,21 +118,22 @@ class PipelineConfig:
     """Complete argument surface of the pipeline.
 
     ``dataset`` is a UEA/UCR problem name (e.g. "ArrowHead") or one of
-    "physionet2012", "physionet2019", "physionet2019binary". Defaults match
+    "physionet2012", "physionet2019", "physionet2019binary" (a cut of the
+    ``physionet2019`` cache entry, which it loads or builds). Defaults match
     the documented argument table: no simulated missingness, no imputation,
     time stamp on, mask/delta/standardise off, cache under ``path``.
 
     Each field with more than one accepted form is converted once, here:
-    proportions to ``float`` (``val_prop`` may stay ``None``), ``seed``
-    through ``operator.index`` (numpy integers pass, a bool does not),
-    ``missing`` to a float or a tuple of floats, ``path`` to ``str``, and
-    the flags (``time``, ``mask``, ``delta``, ``standardise``,
-    ``overwrite_cache``) from ``bool`` or ``np.bool_`` to ``bool``. So
-    numpy scalars are accepted, and the manifest's config echo can always
-    be written; a value that does not convert raises :class:`ConfigError`
-    naming its field. The converted values are then checked however the
-    config is made, ``dataclasses.replace`` included, so an invalid config
-    never exists.
+    ``dataset`` must be a ``str``, proportions go to ``float`` (``val_prop``
+    may stay ``None``), ``seed`` through ``operator.index`` (numpy integers
+    pass, a bool does not), ``missing`` to a float or a tuple of floats,
+    ``path`` to ``str``, and the flags (``time``, ``mask``, ``delta``,
+    ``standardise``, ``overwrite_cache``) from ``bool`` or ``np.bool_`` to
+    ``bool``. So numpy scalars are accepted, and the manifest's config echo
+    can always be written; a value that does not convert raises
+    :class:`ConfigError` naming its field. The converted values are then
+    checked however the config is made, ``dataclasses.replace`` included, so
+    an invalid config never exists.
     """
 
     dataset: str
@@ -155,6 +156,7 @@ class PipelineConfig:
         # the one conversion of each field that has more than one accepted
         # form, so the manifest's config echo rebuilds an equal config
         for name, convert in (
+            ("dataset", str.__str__),  # a str only, where str(5) would pass
             ("train_prop", float),
             ("val_prop", lambda v: None if v is None else float(v)),
             ("seed", _seed),
@@ -276,14 +278,24 @@ def _ingest_2012(raw: Path, workers: int):
     return X, y, lengths, info
 
 
-def _ingest_2019(raw: Path, workers: int, binary: bool):
-    records, labels, dropped = physionet.load_records_2019(raw, workers=workers, binary=binary)
+def _ingest_2019(raw: Path, workers: int):
+    records, dropped = physionet.load_records_2019(raw, workers=workers)
     X, lengths, info = _physionet_master(raw, records, dropped, "ICULOS")
-    if binary:
-        y = labels.astype(np.float64).reshape(-1, 1)
-    else:
-        y = pad_to_longest([r.step_labels[:, None] for r in records])[0][:, :, 0]
+    y = pad_to_longest([r.step_labels[:, None] for r in records])[0][:, :, 0]
     return X, y, lengths, info
+
+
+def _cut_72h(X: np.ndarray, y: np.ndarray, lengths: np.ndarray, info: dict):
+    """The ``physionet2019binary`` master cut from the ``physionet2019`` one:
+    each stay's prefix of rows with ICULOS (channel 0) at most 72, labelled 1
+    when any step of the whole stay is septic; a stay with no such row drops."""
+    keep = X[:, 0] <= 72.0
+    cut = np.add.reduceat(keep, np.cumsum(lengths) - lengths, dtype=np.int64)
+    stays = cut > 0
+    if not stays.any():
+        raise ValueError("no usable records: no stay has a row within 72 hours")
+    info = {**info, "dropped_records": info["dropped_records"] + int(np.sum(~stays))}
+    return X[keep], np.nanmax(y, axis=1)[stays].reshape(-1, 1), cut[stays], info
 
 
 def _ingest(config: PipelineConfig, root: Path, workers: int):
@@ -294,10 +306,12 @@ def _ingest(config: PipelineConfig, root: Path, workers: int):
         return Ragged.of_padded(X, lengths).values, y, lengths, info
     if kind == PHYSIONET2012:
         return _ingest_2012(raw, workers)
-    return _ingest_2019(raw, workers, binary=kind == PHYSIONET2019_BINARY)
+    return _ingest_2019(raw, workers)
 
 
 def _master(config: PipelineConfig, root: Path, workers: int):
+    if config.kind == PHYSIONET2019_BINARY:  # a cut of the 2019 master, not an entry of its own
+        return _cut_72h(*_master(replace(config, dataset=PHYSIONET2019), root, workers))
     if not config.overwrite_cache:
         try:
             X, y, length, meta = cache_store.load(root, config.key)

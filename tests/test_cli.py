@@ -82,6 +82,21 @@ def test_prepare_build_error_exits_1(tmp_path, capsys):
     assert "step 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_prepare_names_the_malformed_file_for_any_worker_count(tmp_path, capsys, workers):
+    raw = tmp_path / ".torchtime" / "raw" / "physionet2019"
+    for i in range(5):
+        cell = "NN" if i == 2 else "80"
+        subset = raw / ("training_setA" if i < 3 else "training_setB")
+        subset.mkdir(parents=True, exist_ok=True)
+        (subset / f"p{i:06d}.psv").write_text(f"HR|ICULOS|SepsisLabel\n70|1|0\n{cell}|2|0\n")
+    code = run(["prepare", "physionet2019", "--train-prop", 0.6, "--workers", workers,
+                "--path", tmp_path])
+    assert code == 1
+    assert ("step 1 (cache check / ingest): training_setA/p000002.psv: "
+            "could not convert string to float: 'NN'") in capsys.readouterr().err
+
+
 def test_prepare_flag_parsers(traj_root, copy_tree):
     root = copy_tree(traj_root)
     code = run(

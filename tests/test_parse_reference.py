@@ -388,44 +388,79 @@ def test_uea_master_equals_padded_reference_channels(request, tree, name):
 # ------------------------------------------------------- directory loading
 
 
-@pytest.fixture()
-def psv_tree(tmp_path):
-    """Nine stays over two subsets: clean NaN-only files, files with blank
-    cells, a header-only file (dropped) and a stay starting after 72 hours
-    (dropped by the binary variant)."""
-    raw = tmp_path / "raw"
+def write_psv_tree(raw, tokens):
+    """Nine stays over two subsets of ``raw``: stays of ``tokens`` and NaN
+    spellings, some with blank cells, a header-only stay (dropped) and one
+    starting after 72 hours (dropped by the binary variant)."""
     rng = random.Random(72)
     order = ["HR", "O2Sat", "Temp", "ICULOS", "SepsisLabel"]
     for i in range(7):
         subset = "training_setA" if i < 4 else "training_setB"
-        tokens = VALUE_TOKENS + (["NaN", "nan"] if i % 2 else NAN_TOKENS)
+        cells = tokens + (["NaN", "nan"] if i % 2 else NAN_TOKENS)
         path = raw / subset / f"p{i:06d}.psv"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(random_psv(rng, tokens, rng.randint(20, 60), order))
+        path.write_text(random_psv(rng, cells, rng.randint(20, 60), order))
     (raw / "training_setB" / "p000007.psv").write_text("|".join(order) + "\n")
     late = [f"1|2|3|{h}|0" for h in range(80, 90)]
     (raw / "training_setA" / "p000008.psv").write_text("\n".join(["|".join(order)] + late))
     return raw
 
 
-@pytest.mark.parametrize("binary", [False, True])
-def test_load_records_2019_same_bytes_for_any_worker_count(psv_tree, binary):
-    serial, labels, dropped = load_records_2019(psv_tree, workers=1, binary=binary)
-    assert dropped == (2 if binary else 1)
+@pytest.fixture()
+def psv_tree(tmp_path):
+    return write_psv_tree(tmp_path / "raw", VALUE_TOKENS)
+
+
+def test_load_records_2019_same_bytes_for_any_worker_count(psv_tree):
+    serial, dropped = load_records_2019(psv_tree, workers=1)
+    assert dropped == 1
     assert [r.record_id for r in serial] == sorted(r.record_id for r in serial)
     for path in sorted(psv_tree.glob("training_set*/*.psv")):
         if path.stem in {r.record_id for r in serial}:
             want = reference_patient_2019(path.read_text(), path.stem)
-            if binary:
-                want, _ = to_binary_2019(want)
             same_record(next(r for r in serial if r.record_id == path.stem), want)
     for workers in (2, 3):
-        records, labels_w, dropped_w = load_records_2019(psv_tree, workers=workers, binary=binary)
+        records, dropped_w = load_records_2019(psv_tree, workers=workers)
         assert dropped_w == dropped
-        same_array(labels_w, labels)
         assert len(records) == len(serial)
         for got, want in zip(records, serial):
             same_record(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_binary_build_equals_the_per_record_reference_for_any_worker_count(tmp_path, workers):
+    """``physionet2019binary`` gives the tensors of each stay parsed by the
+    reference and cut by ``to_binary_2019``: stays sorted by id, the header-only
+    stay and the one starting after 72 hours dropped, and a stay whose onset
+    comes after 72 hours labelled 1."""
+    # finite values only: the training statistics of an infinite value warn
+    raw = write_psv_tree(fetch.raw_dir(tmp_path, "physionet2019"),
+                         [t for t in VALUE_TOKENS if math.isfinite(float(t))])
+    late_onset = [f"{h}|1|2|{h}|{int(h >= 80)}" for h in range(60, 90)]
+    (raw / "training_setB" / "p000009.psv").write_text(
+        "\n".join(["HR|O2Sat|Temp|ICULOS|SepsisLabel"] + late_onset)
+    )
+    paths = sorted(raw.glob("training_set*/*.psv"))
+    records = [reference_patient_2019(path.read_text(), path.stem) for path in paths]
+    pairs = []
+    for record in sorted((r for r in records if r.n_steps), key=lambda r: r.record_id):
+        try:
+            pairs.append(to_binary_2019(record))
+        except RecordParseError:  # no row within 72 hours
+            pass
+    cut = {r.record_id: (r, label) for r, label in pairs}
+    assert len(paths) - len(pairs) == 2 and {"p000007", "p000008"}.isdisjoint(cut)
+    late, label = cut["p000009"]
+    assert label == 1 and not late.step_labels.any()
+    want_X, want_length = pad_to_longest([np.column_stack([r.times, r.values]) for r, _ in pairs])
+
+    config = pipeline.PipelineConfig(dataset="physionet2019binary", split="train",
+                                     train_prop=0.7, seed=1, path=tmp_path, overwrite_cache=True)
+    ds = pipeline.build(config, workers=workers)
+    same_array(ds.X_full, want_X)
+    same_array(ds.y_full, np.array([[float(label)] for _, label in pairs]))
+    same_array(ds.length_full, want_length)
+    assert ds.dropped_records == 2
 
 
 @pytest.mark.parametrize("first,last", [("p000002", "p000005"), ("p000000", "p000007")])
@@ -434,7 +469,8 @@ def test_load_records_2019_reports_the_first_bad_file(psv_tree, monkeypatch, fir
     (psv_tree / "training_setB" / f"{last}.psv").write_text("HR|ICULOS|SepsisLabel\n1|1\n")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # eight chunks for nine files
     for workers in (1, 2):
-        with pytest.raises(RecordParseError, match="^line 2: SepsisLabel must be 0 or 1$"):
+        with pytest.raises(RecordParseError,
+                           match=f"^training_setA/{first}.psv: line 2: SepsisLabel must be 0 or 1$"):
             load_records_2019(psv_tree, workers=workers)
 
 
@@ -444,9 +480,9 @@ def test_load_records_2019_duplicate_ids_keep_path_order(psv_tree, monkeypatch):
     (psv_tree / "training_setB" / "p000008.psv").write_text("HR|O2Sat|Temp|ICULOS|SepsisLabel\n"
                                                             "5|6|7|1|1\n")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # eight chunks for ten files
-    serial, _, _ = load_records_2019(psv_tree, workers=1)
+    serial, _ = load_records_2019(psv_tree, workers=1)
     twins = [r for r in serial if r.record_id == "p000008"]
     assert [r.n_steps for r in twins] == [10, 1]  # training_setA first
-    parallel, _, _ = load_records_2019(psv_tree, workers=2)
+    parallel, _ = load_records_2019(psv_tree, workers=2)
     for got, want in zip(parallel, serial, strict=True):
         same_record(got, want)

@@ -258,6 +258,21 @@ def test_2012_loading_sorted_and_parallel_identical(physionet2012_root):
         np.testing.assert_array_equal(a.times, b.times)
 
 
+@pytest.mark.parametrize(
+    "name,text,load,message",
+    [("set-a/1.txt", "Time,Parameter,Value\n00:00,RecordID,1e999\n", load_records_2012,
+      "cannot convert float infinity to integer"),
+     ("Outcomes-a.txt", "RecordID,In-hospital_death\nRecordID,In-hospital_death\n",
+      physionet.load_outcomes_2012, "could not convert string to float: 'RecordID'")],
+)
+def test_2012_errors_name_their_file(tmp_path, name, text, load, message):
+    (tmp_path / name).parent.mkdir(exist_ok=True)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(RecordParseError) as err:
+        load(tmp_path)
+    assert str(err.value) == f"{name}: {message}"
+
+
 def test_2012_no_minus_one_survives_anywhere(physionet2012_root):
     raw = physionet2012_root / ".torchtime" / "raw" / "physionet2012"
     records, _ = load_records_2012(raw)
@@ -268,12 +283,12 @@ def test_2012_no_minus_one_survives_anywhere(physionet2012_root):
 
 def test_2019_loading_sorted(physionet2019_root):
     raw = physionet2019_root / ".torchtime" / "raw" / "physionet2019"
-    records, labels, dropped = load_records_2019(raw, workers=2, binary=True)
+    records, dropped = load_records_2019(raw, workers=2)
     assert dropped == 0
-    assert len(records) == len(labels) == 16
+    assert len(records) == 16
     ids = [r.record_id for r in records]
     assert ids == sorted(ids)
-    assert set(labels.tolist()) == {0, 1}
+    assert {int(r.step_labels.max()) for r in records} == {0, 1}
 
 
 def test_2019_clean_file_skips_the_per_cell_path(monkeypatch):
@@ -322,9 +337,9 @@ def test_2019_pool_size_is_bounded(physionet2019_root, monkeypatch, workers, cpu
     monkeypatch.setattr(physionet, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     RecordingPool.sizes = []
-    records, _, dropped = load_records_2019(raw, workers=workers)
+    records, dropped = load_records_2019(raw, workers=workers)
     assert RecordingPool.sizes == want
-    serial, _, _ = load_records_2019(raw, workers=1)
+    serial, _ = load_records_2019(raw, workers=1)
     assert [r.record_id for r in records] == [r.record_id for r in serial]
     for a, b in zip(records, serial):
         assert a.values.tobytes() == b.values.tobytes()
@@ -371,9 +386,9 @@ _START_METHOD_SCRIPT = textwrap.dedent("""
 
 
     def fields(loaded):
-        records, labels, dropped = loaded
+        records, dropped = loaded
         return ([(r.record_id, r.times.tobytes(), r.values.tobytes(), r.step_labels.tobytes())
-                 for r in records], labels.tobytes(), dropped)
+                 for r in records], dropped)
 
 
     if __name__ == "__main__":

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tsprep import cache_store, export, pipeline, tensorfile, transforms
+from tsprep import cache_store, export, physionet, pipeline, tensorfile, transforms
 from tsprep.batching import batches
 from tsprep.cache_store import entry_dir
 from tsprep.physionet import PHYSIONET_2012_CHANNELS
@@ -342,7 +342,7 @@ def test_bad_proportions_rejected(arrowhead_root):
      ("categorical", 3), ("categorical", "12"), ("channel_means", {"x": 1}),
      ("channel_means", {1: "y"}),
      ("path", None), ("train_prop", "x"), ("val_prop", "x"), ("seed", True), ("seed", 1.5),
-     ("mask", "no"), ("time", 1), ("standardise", None)],
+     ("mask", "no"), ("time", 1), ("standardise", None), ("dataset", 5)],
 )
 def test_unconvertible_config_value_names_its_field(arrowhead_root, field, value):
     with pytest.raises(ConfigError, match=f"^{field}: cannot convert"):
@@ -405,6 +405,30 @@ def test_uea_files_are_found_by_name_anywhere_under_the_raw_tree(arrowhead_root,
     with pytest.raises(BuildError) as info:
         build(arrowhead_config(tmp_path, overwrite_cache=True))
     assert "ArrowHead_TRAIN.ts" in str(info.value) and "tsprep fetch" in str(info.value)
+
+
+def test_binary_build_after_a_2019_build_parses_no_file(physionet2019_root, copy_tree,
+                                                        monkeypatch):
+    root = copy_tree(physionet2019_root)
+    full = build(pn2019_config(root))
+
+    def parse(path):
+        raise AssertionError(f"parsed {path}")
+
+    monkeypatch.setattr(physionet, "_parse_2019_file", parse)
+    binary = build(pn2019_config(root, dataset="physionet2019binary"))
+    assert binary.n == full.n == 16
+    assert not entry_dir(root, "physionet2019binary").exists()
+
+
+def test_binary_with_no_stay_within_72_hours_fails_at_step_1(tmp_path):
+    raw = tmp_path / ".torchtime" / "raw" / "physionet2019" / "training_setA"
+    raw.mkdir(parents=True)
+    for i, start in enumerate((73, 100)):
+        rows = [f"1|{hour}|0" for hour in range(start, start + 5)]
+        (raw / f"p{i:06d}.psv").write_text("\n".join(["HR|ICULOS|SepsisLabel"] + rows))
+    with pytest.raises(BuildError, match="step 1 .*no usable records"):
+        build(pn2019_config(tmp_path, dataset="physionet2019binary"))
 
 
 def _empty_record_tree(root, kind):
