@@ -205,10 +205,17 @@ def parse_outcomes_2012(text: str) -> dict[str, int]:
     """Parse an ``Outcomes-*.txt`` file to a record_id -> in-hospital death
     (0 or 1) map."""
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or "In-hospital_death" not in reader.fieldnames:
+    columns = reader.fieldnames or []
+    if "RecordID" not in columns:
+        raise RecordParseError("outcomes file lacks a RecordID column")
+    if "In-hospital_death" not in columns:
         raise RecordParseError("outcomes file lacks an In-hospital_death column")
     outcomes: dict[str, int] = {}
     for row in reader:
+        missing = list(row.values()).count(None)  # DictReader's filler for a short row
+        if missing:
+            raise RecordParseError(f"line {reader.line_num}: expected {len(columns)} columns, "
+                                   f"got {len(columns) - missing}")
         record_id = str(int(float(row["RecordID"])))
         if record_id in outcomes:
             raise RecordParseError(f"duplicate record id {record_id}")
@@ -289,7 +296,11 @@ def _rows_2019(
             token = cells[i].strip()
             if token == "" or token.lower() == "nan":
                 return math.nan
-            return float(token)
+            try:
+                return float(token)
+            except ValueError as err:
+                err.lineno = lineno  # _naming adds it to the loader's message; the text stays
+                raise
 
         times.append(cell(iculos_col))
         label = cell(label_col)
@@ -331,11 +342,14 @@ _CHUNKS_PER_WORKER = 4
 
 @contextmanager
 def _naming(name: str):
-    """Name the file (its path under the raw directory) in its parse error."""
+    """Name the file (its path under the raw directory) in its parse error,
+    and the line that a ``float()`` error carries as ``lineno``."""
     try:
         yield
     except (ValueError, OverflowError, csv.Error) as err:
-        raise RecordParseError(f"{name}: {err}") from err
+        line = getattr(err, "lineno", None)
+        where = name if line is None else f"{name}: line {line}"
+        raise RecordParseError(f"{where}: {err}") from err
 
 
 def _parse_2012_file(path: Path) -> PatientRecord:

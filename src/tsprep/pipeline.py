@@ -69,7 +69,7 @@ from tsprep.tensor_core import (
     standardise,  # unused here, but perfbench/tracing.py wraps pipeline.standardise
     standardise_in_place,
 )
-from tsprep.ts_format import merge_train_test, parse_ts_file
+from tsprep.ts_format import TsParseError, merge_train_test, parse_ts_file
 
 logger = logging.getLogger(__name__)
 
@@ -216,6 +216,17 @@ def _step(number: int, name: str):
         raise BuildError(f"step {number} ({name}): {exc}") from exc
 
 
+@contextmanager
+def _ts_naming(raw: Path, *paths: Path):
+    """Name the ``.ts`` files (their paths under ``raw``) in an error about
+    them: a parse error, or a text that is not UTF-8."""
+    try:
+        yield
+    except (TsParseError, UnicodeDecodeError) as err:
+        names = ", ".join(str(path.relative_to(raw)) for path in paths)
+        raise TsParseError(f"{names}: {err}") from err
+
+
 def _ingest_uea(raw: Path, dataset: str):
     paths = {}
     for path in sorted(raw.rglob("*.ts")):  # one walk: the first path of each lower-case stem
@@ -223,14 +234,17 @@ def _ingest_uea(raw: Path, dataset: str):
     train_path = paths.get(f"{dataset.lower()}_train")
     if train_path is None:
         raise FileNotFoundError(f"no {dataset}_TRAIN.ts under {raw} (run `tsprep fetch` first)")
-    train = parse_ts_file(train_path.read_text(encoding="utf-8"))
+    with _ts_naming(raw, train_path):
+        train = parse_ts_file(train_path.read_text(encoding="utf-8"))
     test = None
     test_path = paths.get(f"{dataset.lower()}_test")
     if test_path is not None:
-        test = parse_ts_file(test_path.read_text(encoding="utf-8"))
-        if set(test.header.class_labels) != set(train.header.class_labels):
-            raise ValueError("train/test files declare different class labels")
-    labels, X, lengths = merge_train_test(train, test)
+        with _ts_naming(raw, test_path):
+            test = parse_ts_file(test_path.read_text(encoding="utf-8"))
+    with _ts_naming(raw, *(path for path in (train_path, test_path) if path is not None)):
+        if test is not None and set(test.header.class_labels) != set(train.header.class_labels):
+            raise TsParseError("train/test files declare different class labels")
+        labels, X, lengths = merge_train_test(train, test)
 
     label_index = {label: i for i, label in enumerate(train.header.class_labels)}
     y = np.eye(len(train.header.class_labels))[[label_index[label] for label in labels]]

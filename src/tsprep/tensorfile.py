@@ -10,10 +10,10 @@ One array per file, parseable from any language without libraries:
 
 :func:`write_tensor` is the one writer: it takes an array, the rows of one
 or the padded sequences of a :class:`~tsprep.tensor_core.Ragged`
-(:class:`Rows`), or another tensor file (:class:`TensorFile`), and writes,
-converts and hashes the payload one row block of :data:`BLOCK_BYTES` at a
-time, so no second copy of a payload, and no padded copy of a ragged one,
-is ever held.
+(:class:`Rows`, whose index is checked as each block is gathered), or
+another tensor file (:class:`TensorFile`), and writes, converts and hashes
+the payload one row block of :data:`BLOCK_BYTES` at a time, so no second
+copy of a payload, and no padded copy of a ragged one, is ever held.
 
 Every directory tsprep writes (cache entries, prepared directories and
 exports) holds such files plus a ``manifest.json`` whose ``files`` map gives
@@ -69,43 +69,33 @@ def _block_rows(shape: tuple[int, ...], itemsize: int) -> int:
 class Rows:
     """The rows ``array[index]`` (every row when ``index`` is None) of an
     array, or the padded sequences of a :class:`~tsprep.tensor_core.Ragged`,
-    which :func:`write_tensor` gathers or pads one block at a time instead
-    of whole."""
+    which :func:`write_tensor` gathers or pads one block at a time; a
+    position out of range raises ``IndexError`` when its block is gathered."""
 
     def __init__(self, array, index=None) -> None:
         self.array = array if isinstance(array, Ragged) else np.atleast_1d(array)
-        n = len(self.array)
         if index is not None:
             index = np.asarray(index)
-            if index.dtype.kind not in "iu" or index.ndim != 1:
+            if index.dtype.kind not in "iu" or index.ndim != 1:  # a mask would select fewer rows
                 raise TypeError("row index must be a 1-D array of integer positions")
-            if index.size and not (-n <= index.min() and index.max() < n):
-                raise IndexError(f"row index out of range for {n} rows")
         self.index = index
         self.dtype = self.array.dtype
-        self.shape = (n if index is None else len(index),) + self.array.shape[1:]
+        self.shape = (len(self.array if index is None else index),) + self.array.shape[1:]
 
     def blocks(self, itemsize: int = 0):
         """Yield C-contiguous row blocks of at most :data:`BLOCK_BYTES` (at
-        ``max(itemsize, dtype.itemsize)`` bytes per element); gathered
-        blocks share one buffer, so each is valid until the next."""
+        ``max(itemsize, dtype.itemsize)`` bytes per element); padded blocks
+        share one buffer, so each is valid until the next."""
         n, step = self.shape[0], _block_rows(self.shape, max(itemsize, self.dtype.itemsize))
         ragged = isinstance(self.array, Ragged)
-        buffer = None
+        buffer = np.empty((min(step, n),) + self.shape[1:], self.dtype) if ragged else None
         for start in range(0, n, step):
             stop = min(start + step, n)
-            if self.index is None and not ragged:
-                yield np.ascontiguousarray(self.array[start:stop])
-                continue
-            if buffer is None:
-                buffer = np.empty((min(step, n),) + self.shape[1:], self.dtype)
+            rows = slice(start, stop) if self.index is None else self.index[start:stop]
             if ragged:
-                rows = slice(start, stop) if self.index is None else self.index[start:stop]
                 yield self.array.pad(rows, out=buffer[: stop - start])
             else:
-                # indices are checked above; "wrap" keeps np.take from buffering
-                yield np.take(self.array, self.index[start:stop], axis=0,
-                              out=buffer[: stop - start], mode="wrap")
+                yield np.ascontiguousarray(self.array[rows])
 
 
 class TensorFile:

@@ -93,8 +93,20 @@ def test_prepare_names_the_malformed_file_for_any_worker_count(tmp_path, capsys,
     code = run(["prepare", "physionet2019", "--train-prop", 0.6, "--workers", workers,
                 "--path", tmp_path])
     assert code == 1
-    assert ("step 1 (cache check / ingest): training_setA/p000002.psv: "
+    assert ("step 1 (cache check / ingest): training_setA/p000002.psv: line 3: "
             "could not convert string to float: 'NN'") in capsys.readouterr().err
+
+
+def test_prepare_names_the_malformed_ts_file(tmp_path, capsys):
+    raw = tmp_path / ".torchtime" / "raw" / "demo"
+    raw.mkdir(parents=True)
+    head = "@problemName Demo\n@univariate true\n@classLabel true a b\n@data\n"
+    (raw / "Demo_TRAIN.ts").write_text(head + "1,2,3:a\n4,5,6:b\n")
+    (raw / "Demo_TEST.ts").write_text(head + "1,2,3:a\n4,x,6:b\n")
+    code = run(["prepare", "Demo", "--train-prop", 0.5, "--path", tmp_path])
+    assert code == 1
+    assert ("step 1 (cache check / ingest): Demo_TEST.ts: invalid value 'x'"
+            in capsys.readouterr().err)
 
 
 def test_prepare_flag_parsers(traj_root, copy_tree):

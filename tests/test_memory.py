@@ -28,17 +28,22 @@ def traced_peak(call):
     return peak, result
 
 
-def large_dataset():
-    """400 rows of (100, 50) f64: 16 MB in all, 11.2 MB in the train split."""
+def large_dataset(per_step_y=False):
+    """400 rows of (100, 50) f64: 16 MB in all, 11.2 MB in the train split;
+    ``y`` is (400, 1), or (400, 100) per step as 2019 has it."""
     rng = np.random.RandomState(0)
     n, s, c = 400, 100, 50
     lengths = rng.randint(1, s + 1, n).astype(np.int64)
+    padding = np.arange(s)[None, :] >= lengths[:, None]
     X = rng.randn(n, s, c)
-    X[np.arange(s)[None, :] >= lengths[:, None]] = np.nan
+    X[padding] = np.nan
+    y = rng.randint(0, 2, (n, s if per_step_y else 1)).astype(np.float64)
+    if per_step_y:
+        y[padding] = np.nan
     codes = np.repeat(np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 2], dtype=np.int8), n // 10)
     return Dataset(
         X_full=X,
-        y_full=rng.randint(0, 2, (n, 1)).astype(np.float64),
+        y_full=y,
         length_full=lengths,
         layout=ChannelLayout(tuple(Channel(f"d{i}", "data") for i in range(c))),
         stats=channel_stats(X, lengths),
@@ -60,6 +65,18 @@ def test_write_prepared_peak_is_under_a_quarter_of_the_largest_blob(tmp_path):
     dataset = large_dataset()
     peak, _ = traced_peak(lambda: export.write_prepared(dataset, CONFIG, tmp_path / "prepared"))
     assert peak < largest_blob(tmp_path / "prepared") / 4
+
+
+def test_write_prepared_gathers_per_step_targets_a_block_at_a_time(tmp_path, monkeypatch):
+    """Per-step ``y`` rows, as 2019 has them, are gathered in row blocks like
+    every other split blob: with small blocks the peak stays under the
+    training split's ``y``, which a whole gather would allocate."""
+    monkeypatch.setattr(tensorfile, "BLOCK_BYTES", 16 << 10)
+    dataset = large_dataset(per_step_y=True)
+    peak, _ = traced_peak(lambda: export.write_prepared(dataset, CONFIG, tmp_path / "prepared"))
+    train_y_bytes = (tmp_path / "prepared" / "y_train.bin").stat().st_size
+    assert train_y_bytes > 4 * (16 << 10)
+    assert peak < train_y_bytes
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])

@@ -263,7 +263,13 @@ def test_2012_loading_sorted_and_parallel_identical(physionet2012_root):
     [("set-a/1.txt", "Time,Parameter,Value\n00:00,RecordID,1e999\n", load_records_2012,
       "cannot convert float infinity to integer"),
      ("Outcomes-a.txt", "RecordID,In-hospital_death\nRecordID,In-hospital_death\n",
-      physionet.load_outcomes_2012, "could not convert string to float: 'RecordID'")],
+      physionet.load_outcomes_2012, "could not convert string to float: 'RecordID'"),
+     ("Outcomes-a.txt", "Record,In-hospital_death\n132539,0\n",
+      physionet.load_outcomes_2012, "outcomes file lacks a RecordID column"),
+     ("Outcomes-a.txt", "RecordID,SAPS-I,In-hospital_death\n132539,6,0\n132540,16\n",
+      physionet.load_outcomes_2012, "line 3: expected 3 columns, got 2"),
+     ("Outcomes-a.txt", "SAPS-I,RecordID,In-hospital_death\n\n6\n",
+      physionet.load_outcomes_2012, "line 3: expected 3 columns, got 1")],
 )
 def test_2012_errors_name_their_file(tmp_path, name, text, load, message):
     (tmp_path / name).parent.mkdir(exist_ok=True)

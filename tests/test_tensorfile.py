@@ -182,9 +182,11 @@ def test_rows_write_the_gathered_rows_and_reject_bad_indices(tmp_path):
     write_tensor(tmp_path / "rows.bin", Rows(array, np.array([-1, 0, 2])), "f64")
     write_tensor(tmp_path / "whole.bin", array[[-1, 0, 2]], "f64")
     assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
-    with pytest.raises(IndexError):
-        Rows(array, np.array([0, 4]))  # np.take's "wrap" mode would wrap it to row 0
-    with pytest.raises(TypeError):
+    ragged = Ragged.of_lengths(array.reshape(12, 2), [3, 3, 3, 3])
+    for source in (array, ragged):  # checked as its block is gathered, inside the write
+        with pytest.raises(IndexError):
+            write_tensor(tmp_path / "bad.bin", Rows(source, np.array([0, 4])), "f64")
+    with pytest.raises(TypeError):  # a mask would select fewer rows than the header states
         Rows(array, np.array([True, False, True, False]))
 
 
